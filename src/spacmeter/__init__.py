@@ -10,7 +10,6 @@ standard figures, and `verify`/`audit` hold the self-checking machinery.
 from .analytic import (
     DisplacedKernels,
     ShiftResult,
-    branch_overlap,
     displaced_kernels,
     initial_moments,
     inverse_norm_sq,
@@ -30,7 +29,6 @@ from .fock import (
     displacement_operator,
     moments,
     nonpostselected_moments,
-    observable_branch_state,
     spac_state,
     transition_moment,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "TruncationPolicy",
     "VerifyReport",
     "assemble_final_state",
-    "branch_overlap",
     "displaced_kernels",
     "displacement_operator",
     "initial_moments",
@@ -90,7 +87,6 @@ __all__ = [
     "mean_lowering",
     "moments",
     "nonpostselected_moments",
-    "observable_branch_state",
     "pointer_shifts",
     "postselection_probability",
     "preset",

@@ -77,17 +77,6 @@ def mean_lowering(pointer: PointerParams) -> complex:
     return pointer.norm_factor_sq * pointer.alpha * (2.0 + pointer.r * pointer.r)
 
 
-def branch_overlap(pointer: PointerParams, coupling: Coupling) -> complex:
-    """Overlap of the two oppositely displaced branches, scaled by 1/gamma^2.
-
-    Equals <phi| D(-strength) |phi> / gamma^2; the scaling matches the
-    conventional closed form exp(-G^2/2) (1 + (alpha* + G)(alpha - G))
-    exp(2 i G Im alpha) with G the strength.
-    """
-    k = displaced_kernels(pointer, -coupling.strength)
-    return k.overlap / pointer.norm_factor_sq
-
-
 def transcribed_shift_kernel(pointer: PointerParams, strength: float) -> complex:
     """Reference cross-term kernel, kept verbatim for the audit trail.
 

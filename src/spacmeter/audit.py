@@ -144,13 +144,9 @@ def run_audit(
         t_dx, t_dp = transcribed_shifts(sel, pointer, coupling)
         t_norm = transcribed_inverse_norm_sq(sel, pointer, coupling)
 
-        pol = policy or fock.TruncationPolicy()
-        base = fock.moments(fock.spac_state(pointer, pol), pointer)
-        assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-        kept = fock.moments(assembled.state, pointer)
-        o_dx = kept.position_mean - base.position_mean
-        o_dp = kept.momentum_mean - base.momentum_mean
-        o_norm = assembled.norm_sq / 2.0
+        bundle = fock.branch_bundle(sel, pointer, coupling, policy)
+        o_dx, o_dp = bundle.kept_shift()
+        o_norm = bundle.kept.norm_sq / 2.0
 
         records.append(AuditRecord(pt, "position_shift", t_dx, closed.position_shift, o_dx))
         records.append(AuditRecord(pt, "momentum_shift", t_dp, closed.momentum_shift, o_dp))

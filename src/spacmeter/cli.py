@@ -150,14 +150,10 @@ def _apply_overrides(spec: sweep_mod.SweepSpec, args) -> sweep_mod.SweepSpec:
         changes["family"] = family
         if family is None:
             changes["family_values"] = ()
-    if args.family_values is not None:
-        changes["family_values"] = tuple(
-            parse_number(item) for item in args.family_values.split(",") if item.strip()
-        )
-    if args.outputs is not None:
-        changes["outputs"] = tuple(
-            item.strip() for item in args.outputs.split(",") if item.strip()
-        )
+    for key in ("family_values", "outputs"):
+        raw = getattr(args, key)
+        if raw is not None:
+            changes[key] = _coerce(key, raw)
     return replace(spec, **changes) if changes else spec
 
 

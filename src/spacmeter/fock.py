@@ -7,24 +7,29 @@ expectation values come from tridiagonal ladder action.  By design this
 module imports nothing from the closed-form engine, so agreement between the
 two is meaningful evidence rather than circular bookkeeping.
 
-Truncation is certified, not assumed: every adaptive entry point grows the
-cutoff until the input state tail, the displaced-branch guard band, and the
-assembled output guard band all fall below the policy tolerance, and raises
-TruncationInsufficient if the cap is reached first.
+Truncation is certified, not assumed.  One cutoff ladder per parameter point
+(`branch_bundle`) grows the cutoff until the pointer tail, the pointer mass
+outside the displacement's safe block, the guard bands of both displaced
+branches and, where the selection has a weak value, the guard band of the
+kept combination all fall below the policy tolerance, and raises
+TruncationInsufficient if the cap is reached first.  The resulting
+BranchBundle holds the pointer and both displaced branches at that cutoff;
+the kept state, the transition value, the keep-everything moments and the
+shifts are all reads of it.  `spac_state` alone keeps a pointer-only ladder.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .model import (
     Coupling,
+    OrthogonalSelection,
     PointerMoments,
     PointerParams,
     SelectionParams,
@@ -93,7 +98,6 @@ class FockOperator:
     """Dense operator with the column range its truncation kept trustworthy."""
 
     matrix: np.ndarray
-    label: str
     safe_dim: int
 
     @property
@@ -179,7 +183,7 @@ def displacement_operator(mu: complex, n_max: int) -> FockOperator:
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     matrix, safe_dim = _displacement(complex(mu), int(n_max))
-    return FockOperator(matrix=matrix, label=f"displacement({complex(mu)})", safe_dim=safe_dim)
+    return FockOperator(matrix=matrix, safe_dim=safe_dim)
 
 
 def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, float]:
@@ -226,13 +230,11 @@ def _spac_tail(pointer: PointerParams, dim: int) -> float:
     return total + math.exp(log_w) * ratio / (1.0 - ratio)
 
 
-def _adaptive(pointer: PointerParams, strength: float, policy: TruncationPolicy, build):
-    """Grow the cutoff until `build` certifies convergence or the cap is hit."""
+def _cutoffs(pointer: PointerParams, strength: float, policy: TruncationPolicy):
+    """The cutoff ladder; asking past the cap raises TruncationInsufficient."""
     dim = policy.starting_dim(pointer, strength)
     while True:
-        result = build(dim)
-        if result is not None:
-            return result
+        yield dim
         if dim >= policy.max_dim:
             raise TruncationInsufficient(
                 f"no convergence below n_max={policy.max_dim} "
@@ -246,132 +248,19 @@ def _band_mass(v: np.ndarray, band: int) -> float:
     return float(np.vdot(seg, seg).real)
 
 
-def _converged_parts(pointer, strength, dim, policy):
-    """Pointer vector and its two displaced branches, or None if unconverged."""
-    psi, tail = _spac_amplitudes(pointer, dim)
-    if tail > policy.tail_tol:
-        return None
-    matrix, safe_dim = _displacement(complex(strength / 2.0), dim)
-    beyond = psi[safe_dim:]
-    if float(np.vdot(beyond, beyond).real) > policy.tail_tol:
-        return None
-    up = matrix @ psi
-    dn = matrix.conj().T @ psi  # adjoint displaces in the opposite direction
-    band = policy.guard_band
-    if _band_mass(up, band) > policy.tail_tol or _band_mass(dn, band) > policy.tail_tol:
-        return None
-    return psi, tail, up, dn
+def _displace(psi: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """D(+strength/2) psi, D(-strength/2) psi and the safe-block size at psi's cutoff."""
+    matrix, safe_dim = _displacement(complex(strength / 2.0), len(psi))
+    # D(-mu) psi = D(mu)^dagger psi, formed as (psi^dagger D)^* so that the
+    # dense matrix is never copied into its adjoint
+    return matrix @ psi, (psi.conj() @ matrix).conj(), safe_dim
 
 
-def spac_state(pointer: PointerParams, policy: TruncationPolicy | None = None) -> FockVector:
-    """Photon-added coherent state as a certified truncated vector."""
-    pol = policy or TruncationPolicy()
-
-    def build(dim):
-        psi, tail = _spac_amplitudes(pointer, dim)
-        if tail > pol.tail_tol:
-            return None
-        return FockVector(amplitudes=psi, n_max=dim, tail_mass=tail)
-
-    return _adaptive(pointer, 0.0, pol, build)
-
-
-def assemble_final_state(
-    sel: SelectionParams,
-    pointer: PointerParams,
-    coupling: Coupling,
-    policy: TruncationPolicy | None = None,
-) -> AssembledState:
-    """Kept-outcome pointer state, normalized from the vector norm itself.
-
-    The normalization is recomputed from the assembled vector, never taken
-    from a closed form, which is what makes the norm a cross-engine check.
-    """
-    a = weak_value(sel)
-    keep_prob = postselection_probability(sel)
-    pol = policy or TruncationPolicy()
-
-    def build(dim):
-        parts = _converged_parts(pointer, coupling.strength, dim, pol)
-        if parts is None:
-            return None
-        psi, tail, up, dn = parts
-        combo = (1.0 + a) * up + (1.0 - a) * dn
-        norm_sq = float(np.vdot(combo, combo).real)
-        combo /= math.sqrt(norm_sq)
-        out_band = _band_mass(combo, pol.guard_band)
-        if out_band > pol.tail_tol:
-            return None
-        state = FockVector(amplitudes=combo, n_max=dim, tail_mass=tail + out_band)
-        return AssembledState(
-            state=state,
-            norm_sq=norm_sq,
-            success_probability=keep_prob * norm_sq / 4.0,
-        )
-
-    return _adaptive(pointer, coupling.strength, pol, build)
-
-
-def observable_branch_state(
-    sel: SelectionParams,
-    pointer: PointerParams,
-    coupling: Coupling,
-    policy: TruncationPolicy | None = None,
-) -> FockVector:
-    """Unnormalized observable-weighted branch of the kept outcome.
-
-    The sigma_x insertion flips the sign of the reverse-displaced branch:
-    cos(phi/2) * [ (1+A) D(+G/2) - (1-A) D(-G/2) ] |pointer> / 2.
-    """
-    a = weak_value(sel)
-    overlap = math.cos(sel.phi / 2.0)
-    pol = policy or TruncationPolicy()
-
-    def build(dim):
-        parts = _converged_parts(pointer, coupling.strength, dim, pol)
-        if parts is None:
-            return None
-        psi, tail, up, dn = parts
-        branch = 0.5 * overlap * ((1.0 + a) * up - (1.0 - a) * dn)
-        norm_sq = float(np.vdot(branch, branch).real)
-        if norm_sq > 0.0:
-            out_band = _band_mass(branch, pol.guard_band) / norm_sq
-            if out_band > pol.tail_tol:
-                return None
-        else:
-            out_band = 0.0
-        return FockVector(amplitudes=branch, n_max=dim, tail_mass=tail + out_band)
-
-    return _adaptive(pointer, coupling.strength, pol, build)
-
-
-def transition_moment(
-    sel: SelectionParams,
-    pointer: PointerParams,
-    coupling: Coupling,
-    policy: TruncationPolicy | None = None,
-) -> complex:
-    """Oracle conditional observable value from the two assembled vectors.
-
-    Ratio <B|C> / <B|B> of the plain and observable-weighted branch
-    combinations; independent of every closed form in the package.
-    """
-    a = weak_value(sel)
-    pol = policy or TruncationPolicy()
-
-    def build(dim):
-        parts = _converged_parts(pointer, coupling.strength, dim, pol)
-        if parts is None:
-            return None
-        psi, tail, up, dn = parts
-        combo = (1.0 + a) * up + (1.0 - a) * dn
-        weighted = (1.0 + a) * up - (1.0 - a) * dn
-        norm_sq = float(np.vdot(combo, combo).real)
-        if _band_mass(combo, pol.guard_band) / norm_sq > pol.tail_tol:
-            return None
-        return complex(np.vdot(combo, weighted)) / norm_sq
-
-    return _adaptive(pointer, coupling.strength, pol, build)
+def _kept_combination(weak: complex, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized kept branch combination and its raw squared norm."""
+    combo = (1.0 + weak) * up + (1.0 - weak) * down
+    norm_sq = float(np.vdot(combo, combo).real)
+    return combo / math.sqrt(norm_sq), norm_sq
 
 
 def _ladder_means(v: np.ndarray) -> tuple[complex, complex, float]:
@@ -398,10 +287,7 @@ def _quad_moments(v: np.ndarray, sigma: float) -> tuple[float, float, float, flo
     return mean_x, mean_p, mean_x2, mean_p2, mean_n
 
 
-def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMoments:
-    """Quadrature statistics of a normalized state for the given pointer width."""
-    v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
-    mean_x, mean_p, mean_x2, mean_p2, mean_n = _quad_moments(v, pointer.sigma)
+def _pointer_moments(mean_x, mean_p, mean_x2, mean_p2, mean_n) -> PointerMoments:
     return PointerMoments(
         position_mean=mean_x,
         momentum_mean=mean_p,
@@ -411,43 +297,166 @@ def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMo
     )
 
 
+def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMoments:
+    """Quadrature statistics of a normalized state for the given pointer width."""
+    v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
+    return _pointer_moments(*_quad_moments(v, pointer.sigma))
+
+
+@dataclass(frozen=True, eq=False)
+class BranchBundle:
+    """A point's pointer state and both displaced branches at its certified cutoff.
+
+    Every oracle observable of the point is a read of it.  `kept` is None
+    only where the selection has no weak value (phi = pi).
+    """
+
+    sel: SelectionParams
+    pointer: PointerParams
+    coupling: Coupling
+    psi: np.ndarray       # pointer state
+    up: np.ndarray        # D(+strength/2) psi
+    down: np.ndarray      # D(-strength/2) psi
+    n_max: int
+    tail_mass: float      # pointer tail plus the kept state's guard-band mass
+    kept: AssembledState | None
+
+    @cached_property
+    def base(self) -> PointerMoments:
+        return moments(self.psi, self.pointer)
+
+    @cached_property
+    def kept_moments(self) -> PointerMoments:
+        return moments(self.kept.state, self.pointer)
+
+    def kept_shift(self) -> tuple[float, float]:
+        """Kept minus initial pointer means, (position, momentum)."""
+        kept, base = self.kept_moments, self.base
+        return kept.position_mean - base.position_mean, kept.momentum_mean - base.momentum_mean
+
+    def transition(self) -> complex:
+        """<B|C> / <B|B>, B the kept combination and C its observable-weighted twin."""
+        a, kept = weak_value(self.sel), self.kept
+        weighted = (1.0 + a) * self.up - (1.0 - a) * self.down  # sigma_x flips the reverse branch
+        return complex(np.vdot(kept.state.amplitudes, weighted)) / math.sqrt(kept.norm_sq)
+
+    @cached_property
+    def unconditioned(self) -> PointerMoments:
+        """Keep-everything statistics, the sigma_x-population mixture of the branches.
+
+        The system branches are orthogonal, so the pointer branches do not interfere.
+        """
+        sel = self.sel
+        phase = cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
+        w_up = abs(math.cos(sel.phi / 2.0) + phase) ** 2 / 2.0
+        w_dn = abs(math.cos(sel.phi / 2.0) - phase) ** 2 / 2.0
+        m_up = _quad_moments(self.up, self.pointer.sigma)
+        m_dn = _quad_moments(self.down, self.pointer.sigma)
+        return _pointer_moments(*(w_up * u + w_dn * d for u, d in zip(m_up, m_dn)))
+
+    def unconditioned_shift(self) -> float:
+        return self.unconditioned.position_mean - self.base.position_mean
+
+
+def _rung(sel, pointer, coupling, weak, dim, policy) -> BranchBundle | None:
+    """The bundle at one cutoff, or None at the first gate that rejects it.
+
+    Gates: the pointer tail, the pointer mass outside the displacement's
+    safe block, both branches' guard bands and, where the selection has a
+    weak value, the normalized kept combination's guard band.
+    """
+    tol, band = policy.tail_tol, policy.guard_band
+    psi, tail = _spac_amplitudes(pointer, dim)
+    if tail > tol:
+        return None
+    up, down, safe_dim = _displace(psi, coupling.strength)
+    beyond = psi[safe_dim:]
+    if float(np.vdot(beyond, beyond).real) > tol:
+        return None
+    if _band_mass(up, band) > tol or _band_mass(down, band) > tol:
+        return None
+    kept = None
+    if weak is not None:
+        combo, norm_sq = _kept_combination(weak, up, down)
+        out_band = _band_mass(combo, band)
+        if out_band > tol:
+            return None
+        tail += out_band
+        kept = AssembledState(
+            state=FockVector(amplitudes=combo, n_max=dim, tail_mass=tail),
+            norm_sq=norm_sq,
+            success_probability=postselection_probability(sel) * norm_sq / 4.0,
+        )
+    return BranchBundle(sel, pointer, coupling, psi, up, down, dim, tail, kept)
+
+
+def _ladder(sel, pointer, coupling, weak, policy) -> BranchBundle:
+    pol = policy or TruncationPolicy()
+    for dim in _cutoffs(pointer, coupling.strength, pol):
+        bundle = _rung(sel, pointer, coupling, weak, dim, pol)
+        if bundle is not None:
+            return bundle
+
+
+def branch_bundle(
+    sel: SelectionParams,
+    pointer: PointerParams,
+    coupling: Coupling,
+    policy: TruncationPolicy | None = None,
+) -> BranchBundle:
+    """The point's one cutoff ladder: grow the cutoff until every gate passes."""
+    return _ladder(sel, pointer, coupling, weak_value(sel), policy)
+
+
+def spac_state(pointer: PointerParams, policy: TruncationPolicy | None = None) -> FockVector:
+    """Photon-added coherent state as a certified truncated vector."""
+    pol = policy or TruncationPolicy()
+    for dim in _cutoffs(pointer, 0.0, pol):
+        psi, tail = _spac_amplitudes(pointer, dim)
+        if tail <= pol.tail_tol:
+            return FockVector(amplitudes=psi, n_max=dim, tail_mass=tail)
+
+
+def assemble_final_state(
+    sel: SelectionParams,
+    pointer: PointerParams,
+    coupling: Coupling,
+    policy: TruncationPolicy | None = None,
+) -> AssembledState:
+    """Kept-outcome pointer state, normalized from the vector norm itself.
+
+    The normalization is recomputed from the assembled vector, never taken
+    from a closed form, which is what makes the norm a cross-engine check.
+    """
+    return branch_bundle(sel, pointer, coupling, policy).kept
+
+
+def transition_moment(
+    sel: SelectionParams,
+    pointer: PointerParams,
+    coupling: Coupling,
+    policy: TruncationPolicy | None = None,
+) -> complex:
+    """Oracle conditional observable value; independent of every closed form."""
+    return branch_bundle(sel, pointer, coupling, policy).transition()
+
+
 def nonpostselected_moments(
     sel: SelectionParams,
     pointer: PointerParams,
     coupling: Coupling,
     policy: TruncationPolicy | None = None,
 ) -> PointerMoments:
-    """Pointer statistics when every outcome is kept.
+    """Pointer statistics when every outcome is kept (BranchBundle.unconditioned).
 
-    The reduced pointer state is the classical mixture of the two displaced
-    branches with the preparation's sigma_x populations; cross terms vanish
-    because the system branches are orthogonal.  Defined for every selection,
-    including phi = pi.
+    Defined for every selection; at phi = pi there is no kept state to
+    certify, so the branches alone set the cutoff.
     """
-    up_amp = math.cos(sel.phi / 2.0) + cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
-    dn_amp = math.cos(sel.phi / 2.0) - cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
-    w_up = abs(up_amp) ** 2 / 2.0
-    w_dn = abs(dn_amp) ** 2 / 2.0
-    pol = policy or TruncationPolicy()
-
-    def build(dim):
-        parts = _converged_parts(pointer, coupling.strength, dim, pol)
-        if parts is None:
-            return None
-        psi, tail, up, dn = parts
-        m_up = _quad_moments(up, pointer.sigma)
-        m_dn = _quad_moments(dn, pointer.sigma)
-        mixed = [w_up * u + w_dn * d for u, d in zip(m_up, m_dn)]
-        mean_x, mean_p, mean_x2, mean_p2, mean_n = mixed
-        return PointerMoments(
-            position_mean=mean_x,
-            momentum_mean=mean_p,
-            position_variance=mean_x2 - mean_x * mean_x,
-            momentum_variance=mean_p2 - mean_p * mean_p,
-            mean_excitation=mean_n,
-        )
-
-    return _adaptive(pointer, coupling.strength, pol, build)
+    try:
+        weak = weak_value(sel)
+    except OrthogonalSelection:
+        weak = None
+    return _ladder(sel, pointer, coupling, weak, policy).unconditioned
 
 
 def assemble_at_cutoff(
@@ -457,14 +466,12 @@ def assemble_at_cutoff(
 
     Returns the normalized vector and the raw squared norm.  Meant for
     derivative estimates that need several strengths on one grid; certify
-    the center point with assemble_final_state first.
+    the center point with branch_bundle first.
     """
     a = weak_value(sel)
     psi, _ = _spac_amplitudes(pointer, dim)
-    matrix, _ = _displacement(complex(strength / 2.0), dim)
-    combo = (1.0 + a) * (matrix @ psi) + (1.0 - a) * (matrix.conj().T @ psi)
-    norm_sq = float(np.vdot(combo, combo).real)
-    return combo / math.sqrt(norm_sq), norm_sq
+    up, down, _ = _displace(psi, strength)
+    return _kept_combination(a, up, down)
 
 
 def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:
@@ -480,12 +487,3 @@ def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) 
     p_v = (0.5j / pointer.sigma) * (adv - av)
     # <XP> - <PX> = 2i Im <Xv|Pv> for Hermitian X, P
     return abs(2.0 * complex(np.vdot(x_v, p_v)).imag - 1.0)
-
-
-def dump_csv(state: FockVector, path: str) -> None:
-    """Write amplitudes as CSV rows (index, re, im) for inspection."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "amplitude.re", "amplitude.im"])
-        for idx, amp in enumerate(state.amplitudes):
-            writer.writerow([idx, repr(float(amp.real)), repr(float(amp.imag))])

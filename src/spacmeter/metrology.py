@@ -69,8 +69,15 @@ class FisherReport:
     step: float
 
 
-def _engines_agree(a: float, b: float) -> bool:
-    return abs(a - b) <= CROSS_REL * max(abs(a), abs(b)) + CROSS_ABS
+def _check_snr_inputs(sel: SelectionParams, coupling: Coupling, trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be a positive count")
+    if coupling.strength <= 0.0:
+        raise ValueError("snr needs a nonzero coupling strength")
+    if abs(strong_conditional_value(sel)) <= REFERENCE_GUARD:
+        raise DegenerateReference(
+            "reference shift g*sin(phi)*cos(delta) vanishes at this selection"
+        )
 
 
 def snr(
@@ -86,32 +93,25 @@ def snr(
     factor, the reference carries sqrt(trials); the ratio is therefore
     independent of the trial count, which is asserted to one part in 1e12.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive count")
-    if coupling.strength <= 0.0:
-        raise ValueError("snr needs a nonzero coupling strength")
-    reference = strong_conditional_value(sel)
-    if abs(reference) <= REFERENCE_GUARD:
-        raise DegenerateReference(
-            "reference shift g*sin(phi)*cos(delta) vanishes at this selection"
-        )
+    _check_snr_inputs(sel, coupling, trials)  # before paying for a ladder
+    return snr_from_bundle(fock.branch_bundle(sel, pointer, coupling, policy), trials)
 
-    pol = policy or fock.TruncationPolicy()
-    base = fock.moments(fock.spac_state(pointer, pol), pointer)
-    assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-    kept = fock.moments(assembled.state, pointer)
-    shift = kept.position_mean - base.position_mean
-    spread = math.sqrt(kept.position_variance)
+
+def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
+    """snr read off an already certified branch bundle."""
+    sel, pointer, coupling = bundle.sel, bundle.pointer, bundle.coupling
+    _check_snr_inputs(sel, coupling, trials)
+    shift, _ = bundle.kept_shift()
+    spread = math.sqrt(bundle.kept_moments.position_variance)
 
     closed = analytic.pointer_shifts(sel, pointer, coupling).position_shift
-    if not _engines_agree(shift, closed):
+    if abs(shift - closed) > CROSS_REL * max(abs(shift), abs(closed)) + CROSS_ABS:
         raise EngineMismatch(
             f"conditioned position shift: matrix {shift!r} vs closed form {closed!r}"
         )
 
-    plain = fock.nonpostselected_moments(sel, pointer, coupling, pol)
-    shift_plain = plain.position_mean - base.position_mean
-    spread_plain = math.sqrt(plain.position_variance)
+    shift_plain = bundle.unconditioned_shift()
+    spread_plain = math.sqrt(bundle.unconditioned.position_variance)
 
     keep_prob = postselection_probability(sel)
     ratio = math.sqrt(keep_prob) * (shift * spread_plain) / (spread * shift_plain)
@@ -152,6 +152,15 @@ def fisher_from_states(center, plus, minus, step: float) -> tuple[float, float]:
     return fisher, fidelity_fisher
 
 
+def _check_qfi_inputs(coupling: Coupling, trials: int, step: float) -> None:
+    if trials < 1:
+        raise ValueError("trials must be a positive count")
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if coupling.strength < step:
+        raise ValueError("strength must be at least the finite-difference step")
+
+
 def qfi(
     sel: SelectionParams,
     pointer: PointerParams,
@@ -171,17 +180,16 @@ def qfi(
     If the two disagree by more than 1e-4 relative, the step is halved
     once; persistent disagreement raises StepTooCoarse.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive count")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if coupling.strength < step:
-        raise ValueError("strength must be at least the finite-difference step")
+    _check_qfi_inputs(coupling, trials, step)  # before paying for a ladder
+    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling, policy), trials, step)
 
-    pol = policy or fock.TruncationPolicy()
-    assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-    dim = assembled.state.n_max
-    center = assembled.state.amplitudes
+
+def qfi_from_bundle(bundle: fock.BranchBundle, trials: int = 1, step: float = 1e-4) -> FisherReport:
+    """qfi read off an already certified branch bundle, the center point."""
+    sel, pointer, coupling = bundle.sel, bundle.pointer, bundle.coupling
+    _check_qfi_inputs(coupling, trials, step)
+    dim = bundle.n_max
+    center = bundle.kept.state.amplitudes
 
     def estimate(eps: float) -> tuple[float, float]:
         plus, _ = fock.assemble_at_cutoff(sel, pointer, coupling.strength + eps, dim)

@@ -2,18 +2,17 @@
 
 A sweep varies one axis parameter over a linear range, optionally crossed
 with a family of values for a second parameter (one curve per family value).
-Every grid point is evaluated independently and becomes one CSV row holding
-the requested quantities from both engines plus their residual, the
-truncation certificate (cutoff and tail mass), and an error flag.  Rows are
-emitted in grid order whatever the thread count, and floats are written via
-repr, so identical configs produce byte-identical files.
+Every grid point is evaluated independently, in grid order, and becomes one
+CSV row holding the requested quantities from both engines plus their
+residual, the truncation certificate (cutoff and tail mass), and an error
+flag.  A row's oracle values, chi and Fisher information all read one
+certified branch bundle, so its cutoff ladder runs once.  Floats are written
+via repr, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import analytic, fock, metrology, svg
@@ -22,8 +21,6 @@ from .model import Coupling, PointerParams, SelectionParams
 AXES = ("phi", "strength", "r")
 FAMILY_PARAMS = ("phi", "delta", "r", "theta", "strength")
 OUTPUTS = ("dx", "dp", "transition", "chi", "qfi", "crb")
-
-THREAD_ENV = "SPACMETER_THREADS"
 
 # columns contributed by each requested output, in emission order
 _OUTPUT_COLUMNS = {
@@ -133,37 +130,33 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
         sel = SelectionParams(phi=params["phi"], delta=params["delta"])
         pointer = PointerParams(r=params["r"], theta=params["theta"], sigma=params["sigma"])
         coupling = Coupling(strength=params["strength"])
-        pol = fock.TruncationPolicy()
 
-        assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-        row["n_max[1]"] = str(assembled.state.n_max)
-        row["tail_mass[1]"] = _fmt(assembled.state.tail_mass)
+        bundle = fock.branch_bundle(sel, pointer, coupling)
+        row["n_max[1]"] = str(bundle.n_max)
+        row["tail_mass[1]"] = _fmt(bundle.tail_mass)
 
         wants_shifts = any(o in spec.outputs for o in ("dx", "dp", "transition"))
         if wants_shifts:
             closed = analytic.pointer_shifts(sel, pointer, coupling)
-            base = fock.moments(fock.spac_state(pointer, pol), pointer)
-            kept = fock.moments(assembled.state, pointer)
+            oracle_dx, oracle_dp = bundle.kept_shift()
             g = coupling.coupling_constant(pointer)
             if "dx" in spec.outputs:
-                oracle = kept.position_mean - base.position_mean
                 row["dx_closed[length]"] = _fmt(closed.position_shift)
-                row["dx_oracle[length]"] = _fmt(oracle)
-                row["dx_residual[length]"] = _fmt(abs(closed.position_shift - oracle))
+                row["dx_oracle[length]"] = _fmt(oracle_dx)
+                row["dx_residual[length]"] = _fmt(abs(closed.position_shift - oracle_dx))
                 if g > 0.0:
                     row["dx_over_g[1]"] = _fmt(closed.position_shift / g)
             if "dp" in spec.outputs:
-                oracle = kept.momentum_mean - base.momentum_mean
                 row["dp_closed[1/length]"] = _fmt(closed.momentum_shift)
-                row["dp_oracle[1/length]"] = _fmt(oracle)
-                row["dp_residual[1/length]"] = _fmt(abs(closed.momentum_shift - oracle))
+                row["dp_oracle[1/length]"] = _fmt(oracle_dp)
+                row["dp_residual[1/length]"] = _fmt(abs(closed.momentum_shift - oracle_dp))
                 if g > 0.0:
                     # momentum measured in its natural unit g / sigma^2
                     row["dp_over_g[1]"] = _fmt(
                         closed.momentum_shift * pointer.sigma ** 2 / g
                     )
             if "transition" in spec.outputs:
-                oracle_t = fock.transition_moment(sel, pointer, coupling, pol)
+                oracle_t = bundle.transition()
                 row["transition_closed.re[1]"] = _fmt(closed.transition.real)
                 row["transition_closed.im[1]"] = _fmt(closed.transition.imag)
                 row["transition_oracle.re[1]"] = _fmt(oracle_t.real)
@@ -171,11 +164,9 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
                 row["transition_residual[1]"] = _fmt(abs(closed.transition - oracle_t))
 
         if "chi" in spec.outputs:
-            row["chi[1]"] = _fmt(
-                metrology.snr(sel, pointer, coupling, spec.trials, pol).ratio
-            )
+            row["chi[1]"] = _fmt(metrology.snr_from_bundle(bundle, spec.trials).ratio)
         if "qfi" in spec.outputs or "crb" in spec.outputs:
-            report = metrology.qfi(sel, pointer, coupling, spec.trials, policy=pol)
+            report = metrology.qfi_from_bundle(bundle, spec.trials)
             if "qfi" in spec.outputs:
                 row["qfi[1]"] = _fmt(report.weighted_fisher)
             if "crb" in spec.outputs:
@@ -185,16 +176,7 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
     return row
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREAD_ENV, "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> tuple[list[str], list[dict[str, str]]]:
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
     """Evaluate the grid; returns (header, rows) with rows in grid order."""
     jobs: list[dict[str, float]] = []
     fixed = {
@@ -213,16 +195,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> tuple[list[str], l
                 point[spec.family] = fam_val
             point[spec.axis] = axis_val
             jobs.append(point)
-
-    workers = _worker_count(threads)
-    if workers == 1:
-        rows = [_evaluate(spec, i, params) for i, params in enumerate(jobs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda pair: _evaluate(spec, pair[0], pair[1]), enumerate(jobs))
-            )
-    return spec.header(), rows
+    return spec.header(), [_evaluate(spec, i, params) for i, params in enumerate(jobs)]
 
 
 def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:
@@ -233,21 +206,9 @@ def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:
             handle.write(",".join(row.get(col, "") for col in header) + "\n")
 
 
-def _primary_column(spec: SweepSpec) -> str:
-    first = spec.outputs[0]
-    return {
-        "dx": "dx_closed[length]",
-        "dp": "dp_closed[1/length]",
-        "transition": "transition_closed.re[1]",
-        "chi": "chi[1]",
-        "qfi": "qfi[1]",
-        "crb": "crb[1]",
-    }[first]
-
-
 def write_plot(path: str, spec: SweepSpec, header: list[str], rows: list[dict[str, str]]) -> None:
     """Plot the first requested output against the axis, one curve per family."""
-    y_col = _primary_column(spec)
+    y_col = _OUTPUT_COLUMNS[spec.outputs[0]][0]
     axis_col = f"{spec.axis}[rad]" if spec.axis == "phi" else f"{spec.axis}[1]"
     count = spec.count
     curves = []

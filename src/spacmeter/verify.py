@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, audit, fock, metrology
+from .metrology import CROSS_ABS, CROSS_REL
 from .model import (
     Coupling,
     PointerParams,
@@ -25,9 +26,6 @@ from .model import (
     strong_conditional_value,
     weak_value,
 )
-
-CROSS_REL = 1e-8
-CROSS_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,98 +65,62 @@ def _ratio(diff: float, budget: float) -> float:
     return diff / budget if budget > 0.0 else math.inf
 
 
-def _cross_budget(a: float, b: float) -> float:
-    return CROSS_REL * max(abs(a), abs(b)) + CROSS_ABS
+def _cross_ratio(closed: float, oracle: float) -> float:
+    return _ratio(abs(closed - oracle), CROSS_REL * max(abs(closed), abs(oracle)) + CROSS_ABS)
+
+
+def _grid(strengths, phis, deltas, radii) -> list[tuple[SelectionParams, PointerParams, Coupling]]:
+    return [
+        (
+            SelectionParams(phi=float(phi), delta=delta),
+            PointerParams(r=r, theta=math.pi / 6),
+            Coupling(strength=strength),
+        )
+        for strength in strengths
+        for phi in phis
+        for delta in deltas
+        for r in radii
+    ]
 
 
 def standard_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
     """The dense comparison grid: 31 strengths x 10 phi x 3 delta x 4 r."""
-    points = []
-    strengths = [round(0.1 * k, 10) for k in range(31)]
-    phis = np.linspace(0.05 * math.pi, 0.95 * math.pi, 10)
-    deltas = (0.0, math.pi / 6, 5 * math.pi / 12)
-    radii = (0.0, 1.0, 2.0, 5.0)
-    for strength in strengths:
-        for phi in phis:
-            for delta in deltas:
-                for r in radii:
-                    points.append(
-                        (
-                            SelectionParams(phi=float(phi), delta=delta),
-                            PointerParams(r=r, theta=math.pi / 6),
-                            Coupling(strength=strength),
-                        )
-                    )
-    return points
+    return _grid(
+        [round(0.1 * k, 10) for k in range(31)],
+        np.linspace(0.05 * math.pi, 0.95 * math.pi, 10),
+        (0.0, math.pi / 6, 5 * math.pi / 12),
+        (0.0, 1.0, 2.0, 5.0),
+    )
 
 
 def fast_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
-    points = []
-    for strength in (0.0, 0.3, 1.0, 2.5):
-        for phi in (math.pi / 12, math.pi / 3, 0.6 * math.pi):
-            for delta in (0.0, 5 * math.pi / 12):
-                for r in (0.0, 2.0):
-                    points.append(
-                        (
-                            SelectionParams(phi=phi, delta=delta),
-                            PointerParams(r=r, theta=math.pi / 6),
-                            Coupling(strength=strength),
-                        )
-                    )
-    return points
+    return _grid(
+        (0.0, 0.3, 1.0, 2.5),
+        (math.pi / 12, math.pi / 3, 0.6 * math.pi),
+        (0.0, 5 * math.pi / 12),
+        (0.0, 2.0),
+    )
 
 
 def _cross_engine_checks(points) -> list[CheckResult]:
-    pol = fock.TruncationPolicy()
-    worst = {
-        "position shift": 0.0,
-        "momentum shift": 0.0,
-        "transition value": 0.0,
-        "inverse norm": 0.0,
-        "unconditioned shift": 0.0,
-    }
-    base_cache: dict[tuple[float, float, float], fock.PointerMoments] = {}
+    worst: dict[str, float] = {}
     for sel, pointer, coupling in points:
-        key = (pointer.r, pointer.theta, pointer.sigma)
-        if key not in base_cache:
-            base_cache[key] = fock.moments(fock.spac_state(pointer, pol), pointer)
-        base = base_cache[key]
-
         closed = analytic.pointer_shifts(sel, pointer, coupling)
-        assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-        kept = fock.moments(assembled.state, pointer)
-        o_dx = kept.position_mean - base.position_mean
-        o_dp = kept.momentum_mean - base.momentum_mean
-
-        worst["position shift"] = max(
-            worst["position shift"],
-            _ratio(abs(closed.position_shift - o_dx), _cross_budget(closed.position_shift, o_dx)),
-        )
-        worst["momentum shift"] = max(
-            worst["momentum shift"],
-            _ratio(abs(closed.momentum_shift - o_dp), _cross_budget(closed.momentum_shift, o_dp)),
-        )
-
-        o_t = fock.transition_moment(sel, pointer, coupling, pol)
-        c_t = closed.transition
-        worst["transition value"] = max(
-            worst["transition value"],
-            _ratio(abs(c_t.real - o_t.real), _cross_budget(c_t.real, o_t.real)),
-            _ratio(abs(c_t.imag - o_t.imag), _cross_budget(c_t.imag, o_t.imag)),
-        )
-
-        o_norm = assembled.norm_sq / 2.0
-        worst["inverse norm"] = max(
-            worst["inverse norm"],
-            _ratio(abs(closed.inverse_norm_sq - o_norm), _cross_budget(closed.inverse_norm_sq, o_norm)),
-        )
-
-        plain = fock.nonpostselected_moments(sel, pointer, coupling, pol)
+        bundle = fock.branch_bundle(sel, pointer, coupling)
+        o_dx, o_dp = bundle.kept_shift()
+        o_t, c_t = bundle.transition(), closed.transition
         expected = coupling.coupling_constant(pointer) * strong_conditional_value(sel)
-        worst["unconditioned shift"] = max(
-            worst["unconditioned shift"],
-            _ratio(abs((plain.position_mean - base.position_mean) - expected), 1e-10),
-        )
+        ratios = {
+            "position shift": _cross_ratio(closed.position_shift, o_dx),
+            "momentum shift": _cross_ratio(closed.momentum_shift, o_dp),
+            "transition value": max(
+                _cross_ratio(c_t.real, o_t.real), _cross_ratio(c_t.imag, o_t.imag)
+            ),
+            "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.kept.norm_sq / 2.0),
+            "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
+        }
+        for name, value in ratios.items():
+            worst[name] = max(worst.get(name, 0.0), value)
     return [
         CheckResult(f"cross-engine {name} on grid", value, value <= 1.0)
         for name, value in worst.items()
@@ -206,38 +168,31 @@ def _truncation_checks() -> list[CheckResult]:
     sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
     coupling = Coupling(strength=1.0)
-    pol = fock.TruncationPolicy()
     out = []
 
-    assembled = fock.assemble_final_state(sel, pointer, coupling, pol)
-    base = fock.moments(fock.spac_state(pointer, pol), pointer)
-    dx = fock.moments(assembled.state, pointer).position_mean - base.position_mean
-
-    doubled_pol = fock.TruncationPolicy(initial_dim=2 * assembled.state.n_max)
-    doubled = fock.assemble_final_state(sel, pointer, coupling, doubled_pol)
-    base2 = fock.moments(
-        fock.spac_state(pointer, doubled_pol), pointer
-    )
-    dx2 = fock.moments(doubled.state, pointer).position_mean - base2.position_mean
+    bundle = fock.branch_bundle(sel, pointer, coupling)
+    dx, _ = bundle.kept_shift()
+    doubled_pol = fock.TruncationPolicy(initial_dim=2 * bundle.n_max)
+    dx2, _ = fock.branch_bundle(sel, pointer, coupling, doubled_pol).kept_shift()
     q = _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx)))
     out.append(CheckResult("truncation: cutoff doubling leaves shift fixed", q, q <= 1.0))
 
-    op = fock.displacement_operator(coupling.strength / 2.0, assembled.state.n_max)
+    op = fock.displacement_operator(coupling.strength / 2.0, bundle.n_max)
     defect = op.unitarity_defect()
     q = _ratio(defect, 1e-10)
     out.append(CheckResult("truncation: displacement unitary on safe block", q, q <= 1.0))
 
-    spac = fock.spac_state(pointer, pol)
+    kept = bundle.kept.state.amplitudes
     norm_err = max(
-        abs(float(np.vdot(spac.amplitudes, spac.amplitudes).real) - 1.0),
-        abs(float(np.vdot(assembled.state.amplitudes, assembled.state.amplitudes).real) - 1.0),
+        abs(float(np.vdot(bundle.psi, bundle.psi).real) - 1.0),
+        abs(float(np.vdot(kept, kept).real) - 1.0),
     )
     q = _ratio(norm_err, 1e-10)
     out.append(CheckResult("truncation: state norms hold", q, q <= 1.0))
 
     resid = max(
-        fock.commutator_residual(spac, pointer),
-        fock.commutator_residual(assembled.state, pointer),
+        fock.commutator_residual(bundle.psi, pointer),
+        fock.commutator_residual(kept, pointer),
     )
     q = _ratio(resid, 1e-8)
     out.append(CheckResult("truncation: canonical commutator", q, q <= 1.0))

@@ -79,11 +79,6 @@ class TestKernels:
         assert k.lowered_overlap == 0j
         assert analytic.transcribed_shift_kernel(P1_PTR, 60.0) == 0j
 
-    def test_branch_overlap_scaling(self):
-        value = analytic.branch_overlap(P1_PTR, P1_CPL)
-        k0 = analytic.displaced_kernels(P1_PTR, -P1_CPL.strength).overlap
-        assert value * P1_PTR.norm_factor_sq == pytest.approx(k0, abs=1e-15)
-
 
 class TestTranscribedKernel:
     def test_vacuum_value(self):

@@ -1,6 +1,5 @@
 """Truncated matrix engine: displacement, pointer vector, branch assembly."""
 
-import csv
 import math
 
 import numpy as np
@@ -264,17 +263,6 @@ class TestTransitionMoment:
             ref = bf.brute_point(phi, delta, r, theta, g, n=220)
             assert got == pytest.approx(complex(ref["sT"]), abs=1e-10)
 
-    def test_consistent_with_weighted_branch(self):
-        cpl = Coupling(strength=0.9)
-        out = fock.assemble_final_state(P1_SEL, P1_PTR, cpl)
-        pol = fock.TruncationPolicy(initial_dim=out.state.n_max)
-        branch = fock.observable_branch_state(P1_SEL, P1_PTR, cpl, pol)
-        overlap = complex(np.vdot(out.state.amplitudes, branch.amplitudes))
-        scale = 2.0 / (math.cos(P1_SEL.phi / 2.0) * math.sqrt(out.norm_sq))
-        got = overlap * scale
-        want = fock.transition_moment(P1_SEL, P1_PTR, cpl)
-        assert got == pytest.approx(want, abs=1e-12)
-
 
 class TestUnconditionedStatistics:
     def test_frozen_mixture_point(self):
@@ -320,19 +308,6 @@ class TestFixedCutoff:
         vec_b, norm_b = fock.assemble_at_cutoff(P1_SEL, P1_PTR, 0.9, 256)
         assert norm_b == pytest.approx(norm_a, rel=1e-12)
         assert np.max(np.abs(vec_b[:128] - vec_a)) <= 1e-11
-
-
-def test_dump_csv_round_trip(tmp_path):
-    state = fock.spac_state(P1_PTR)
-    path = tmp_path / "vector.csv"
-    fock.dump_csv(state, str(path))
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["index", "amplitude.re", "amplitude.im"]
-    assert len(rows) == state.n_max + 1
-    idx = 17
-    assert float(rows[idx + 1][1]) == state.amplitudes[idx].real
-    assert float(rows[idx + 1][2]) == state.amplitudes[idx].imag
 
 
 def test_engine_shares_no_closed_forms():

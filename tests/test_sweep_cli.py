@@ -109,27 +109,6 @@ class TestRunSweep:
         strengths = [float(row["strength[1]"]) for row in rows[:3]]
         assert strengths == [0.2, 0.4, 0.6]
 
-    def test_rows_are_thread_count_invariant(self):
-        spec = sweep.SweepSpec(
-            axis="strength",
-            start=0.2,
-            stop=0.8,
-            count=3,
-            family="phi",
-            family_values=(math.pi / 6, math.pi / 3),
-            outputs=("dx", "transition"),
-        )
-        _, lone = sweep.run_sweep(spec, threads=1)
-        _, pooled = sweep.run_sweep(spec, threads=4)
-        assert lone == pooled
-
-    def test_thread_count_sources(self, monkeypatch):
-        assert sweep._worker_count(3) == 3
-        monkeypatch.setenv(sweep.THREAD_ENV, "2")
-        assert sweep._worker_count(None) == 2
-        monkeypatch.delenv(sweep.THREAD_ENV)
-        assert sweep._worker_count(None) >= 1
-
     def test_orthogonal_endpoint_is_flagged_not_fatal(self):
         spec = sweep.SweepSpec(
             axis="phi", start=0.0, stop=math.pi, count=3, outputs=("dx",)
