@@ -129,13 +129,10 @@ DEFAULT_POINTS: tuple[AuditPoint, ...] = (
 )
 
 
-def run_audit(
-    points: tuple[AuditPoint, ...] | None = None,
-    policy: fock.TruncationPolicy | None = None,
-) -> list[AuditRecord]:
-    """Evaluate transcribed, first-principles, and oracle values per point."""
+def run_audit() -> list[AuditRecord]:
+    """Evaluate transcribed, first-principles, and oracle values per default point."""
     records: list[AuditRecord] = []
-    for pt in points if points is not None else DEFAULT_POINTS:
+    for pt in DEFAULT_POINTS:
         sel = SelectionParams(phi=pt.phi, delta=pt.delta)
         pointer = PointerParams(r=pt.r, theta=pt.theta, sigma=pt.sigma)
         coupling = Coupling(strength=pt.strength)
@@ -144,7 +141,7 @@ def run_audit(
         t_dx, t_dp = transcribed_shifts(sel, pointer, coupling)
         t_norm = transcribed_inverse_norm_sq(sel, pointer, coupling)
 
-        bundle = fock.branch_bundle(sel, pointer, coupling, policy)
+        bundle = fock.branch_bundle(sel, pointer, coupling)
         o_dx, o_dp = bundle.kept_shift()
         o_norm = bundle.kept.norm_sq / 2.0
 

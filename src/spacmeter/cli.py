@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qfi", help="Fisher information in the coupling strength")
     _add_point_args(p)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--step", type=parse_number, default=1e-4)
+    p.add_argument("--step", type=parse_number, default=metrology.FISHER_STEP)
     p.set_defaults(handler=_cmd_qfi)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV (and optional SVG)")

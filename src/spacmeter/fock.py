@@ -11,8 +11,8 @@ Truncation is certified, not assumed.  One cutoff ladder per parameter point
 (`branch_bundle`) grows the cutoff until the pointer tail, the pointer mass
 outside the displacement's safe block, the guard bands of both displaced
 branches and, where the selection has a weak value, the guard band of the
-kept combination all fall below the policy tolerance, and raises
-TruncationInsufficient if the cap is reached first.  The resulting
+kept combination all fall below TAIL_TOL, and raises
+TruncationInsufficient if HARD_DIM_CAP is reached first.  The resulting
 BranchBundle holds the pointer and both displaced branches at that cutoff;
 the kept state, the transition value, the keep-everything moments and the
 shifts are all reads of it.  `spac_state` alone keeps a pointer-only ladder.
@@ -41,6 +41,10 @@ from .model import (
 # safe subspace.
 SAFE_COLUMN_LOSS = 1e-12
 
+# Every gate's mass bound, the width of each guard band, and the cutoff
+# past which the ladder (doubling from its starting cutoff) gives up.
+TAIL_TOL = 1e-14
+GUARD_BAND = 8
 HARD_DIM_CAP = 4096
 
 
@@ -50,38 +54,26 @@ class TruncationInsufficient(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How aggressively to truncate and when to give up.
+    """Where the cutoff ladder starts.
 
     initial_dim of None lets the starting cutoff be sized from the pointer
     amplitude and the displacement reach; an explicit value overrides that.
     """
 
     initial_dim: int | None = None
-    growth: int = 2
-    tail_tol: float = 1e-14
-    guard_band: int = 8
-    max_dim: int = HARD_DIM_CAP
 
     def __post_init__(self) -> None:
         if self.initial_dim is not None and self.initial_dim < 8:
             raise ValueError("initial_dim must be at least 8")
-        if self.growth < 2:
-            raise ValueError("growth factor must be at least 2")
-        if not 0.0 < self.tail_tol <= 1e-6:
-            raise ValueError("tail_tol must lie in (0, 1e-6]")
-        if self.guard_band < 1:
-            raise ValueError("guard_band must be positive")
-        if self.max_dim < 64:
-            raise ValueError("max_dim must be at least 64")
 
     def starting_dim(self, pointer: PointerParams, strength: float) -> int:
         if self.initial_dim is not None:
-            return min(self.initial_dim, self.max_dim)
+            return min(self.initial_dim, HARD_DIM_CAP)
         # Displaced support concentrates near (r + strength/2)^2 photons.
         reach = (pointer.r + abs(strength) / 2.0 + 6.0) ** 2
         dim = max(64, math.ceil(reach))
         dim = ((dim + 31) // 32) * 32
-        return min(dim, self.max_dim)
+        return min(dim, HARD_DIM_CAP)
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ def _build_displacement(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return out, loss
 
 
-@lru_cache(maxsize=96)
+@lru_cache(maxsize=8)
 def _displacement(mu: complex, dim: int) -> tuple[np.ndarray, int]:
     """Cached displacement matrix and the size of its safe subspace."""
     matrix, loss = _build_displacement(mu, dim)
@@ -235,16 +227,16 @@ def _cutoffs(pointer: PointerParams, strength: float, policy: TruncationPolicy):
     dim = policy.starting_dim(pointer, strength)
     while True:
         yield dim
-        if dim >= policy.max_dim:
+        if dim >= HARD_DIM_CAP:
             raise TruncationInsufficient(
-                f"no convergence below n_max={policy.max_dim} "
-                f"(r={pointer.r}, strength={strength}, tail_tol={policy.tail_tol})"
+                f"no convergence below n_max={HARD_DIM_CAP} "
+                f"(r={pointer.r}, strength={strength}, tail_tol={TAIL_TOL})"
             )
-        dim = min(policy.max_dim, dim * policy.growth)
+        dim = min(HARD_DIM_CAP, 2 * dim)
 
 
-def _band_mass(v: np.ndarray, band: int) -> float:
-    seg = v[-band:]
+def _band_mass(v: np.ndarray) -> float:
+    seg = v[-GUARD_BAND:]
     return float(np.vdot(seg, seg).real)
 
 
@@ -358,28 +350,27 @@ class BranchBundle:
         return self.unconditioned.position_mean - self.base.position_mean
 
 
-def _rung(sel, pointer, coupling, weak, dim, policy) -> BranchBundle | None:
+def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
     """The bundle at one cutoff, or None at the first gate that rejects it.
 
     Gates: the pointer tail, the pointer mass outside the displacement's
     safe block, both branches' guard bands and, where the selection has a
     weak value, the normalized kept combination's guard band.
     """
-    tol, band = policy.tail_tol, policy.guard_band
     psi, tail = _spac_amplitudes(pointer, dim)
-    if tail > tol:
+    if tail > TAIL_TOL:
         return None
     up, down, safe_dim = _displace(psi, coupling.strength)
     beyond = psi[safe_dim:]
-    if float(np.vdot(beyond, beyond).real) > tol:
+    if float(np.vdot(beyond, beyond).real) > TAIL_TOL:
         return None
-    if _band_mass(up, band) > tol or _band_mass(down, band) > tol:
+    if _band_mass(up) > TAIL_TOL or _band_mass(down) > TAIL_TOL:
         return None
     kept = None
     if weak is not None:
         combo, norm_sq = _kept_combination(weak, up, down)
-        out_band = _band_mass(combo, band)
-        if out_band > tol:
+        out_band = _band_mass(combo)
+        if out_band > TAIL_TOL:
             return None
         tail += out_band
         kept = AssembledState(
@@ -390,10 +381,9 @@ def _rung(sel, pointer, coupling, weak, dim, policy) -> BranchBundle | None:
     return BranchBundle(sel, pointer, coupling, psi, up, down, dim, tail, kept)
 
 
-def _ladder(sel, pointer, coupling, weak, policy) -> BranchBundle:
-    pol = policy or TruncationPolicy()
-    for dim in _cutoffs(pointer, coupling.strength, pol):
-        bundle = _rung(sel, pointer, coupling, weak, dim, pol)
+def _ladder(sel, pointer, coupling, weak, policy: TruncationPolicy) -> BranchBundle:
+    for dim in _cutoffs(pointer, coupling.strength, policy):
+        bundle = _rung(sel, pointer, coupling, weak, dim)
         if bundle is not None:
             return bundle
 
@@ -404,16 +394,18 @@ def branch_bundle(
     coupling: Coupling,
     policy: TruncationPolicy | None = None,
 ) -> BranchBundle:
-    """The point's one cutoff ladder: grow the cutoff until every gate passes."""
-    return _ladder(sel, pointer, coupling, weak_value(sel), policy)
+    """The point's one cutoff ladder: grow the cutoff until every gate passes.
+
+    policy sets only the starting cutoff; every gate reads the module constants.
+    """
+    return _ladder(sel, pointer, coupling, weak_value(sel), policy or TruncationPolicy())
 
 
-def spac_state(pointer: PointerParams, policy: TruncationPolicy | None = None) -> FockVector:
+def spac_state(pointer: PointerParams) -> FockVector:
     """Photon-added coherent state as a certified truncated vector."""
-    pol = policy or TruncationPolicy()
-    for dim in _cutoffs(pointer, 0.0, pol):
+    for dim in _cutoffs(pointer, 0.0, TruncationPolicy()):
         psi, tail = _spac_amplitudes(pointer, dim)
-        if tail <= pol.tail_tol:
+        if tail <= TAIL_TOL:
             return FockVector(amplitudes=psi, n_max=dim, tail_mass=tail)
 
 
@@ -421,31 +413,28 @@ def assemble_final_state(
     sel: SelectionParams,
     pointer: PointerParams,
     coupling: Coupling,
-    policy: TruncationPolicy | None = None,
 ) -> AssembledState:
     """Kept-outcome pointer state, normalized from the vector norm itself.
 
     The normalization is recomputed from the assembled vector, never taken
     from a closed form, which is what makes the norm a cross-engine check.
     """
-    return branch_bundle(sel, pointer, coupling, policy).kept
+    return branch_bundle(sel, pointer, coupling).kept
 
 
 def transition_moment(
     sel: SelectionParams,
     pointer: PointerParams,
     coupling: Coupling,
-    policy: TruncationPolicy | None = None,
 ) -> complex:
     """Oracle conditional observable value; independent of every closed form."""
-    return branch_bundle(sel, pointer, coupling, policy).transition()
+    return branch_bundle(sel, pointer, coupling).transition()
 
 
 def nonpostselected_moments(
     sel: SelectionParams,
     pointer: PointerParams,
     coupling: Coupling,
-    policy: TruncationPolicy | None = None,
 ) -> PointerMoments:
     """Pointer statistics when every outcome is kept (BranchBundle.unconditioned).
 
@@ -456,22 +445,20 @@ def nonpostselected_moments(
         weak = weak_value(sel)
     except OrthogonalSelection:
         weak = None
-    return _ladder(sel, pointer, coupling, weak, policy).unconditioned
+    return _ladder(sel, pointer, coupling, weak, TruncationPolicy()).unconditioned
 
 
-def assemble_at_cutoff(
-    sel: SelectionParams, pointer: PointerParams, strength: float, dim: int
-) -> tuple[np.ndarray, float]:
-    """Branch combination at a fixed cutoff, without convergence certification.
+def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarray, float]:
+    """Kept branch combination at another strength, on the bundle's cutoff.
 
-    Returns the normalized vector and the raw squared norm.  Meant for
-    derivative estimates that need several strengths on one grid; certify
-    the center point with branch_bundle first.
+    Displaces the bundle's certified pointer state by +-strength/2 and
+    weights the branches with the weak value of its selection, without
+    certifying the result.  Returns the normalized vector and the raw
+    squared norm.  Meant for derivative estimates that need several
+    strengths on one grid.
     """
-    a = weak_value(sel)
-    psi, _ = _spac_amplitudes(pointer, dim)
-    up, down, _ = _displace(psi, strength)
-    return _kept_combination(a, up, down)
+    up, down, _ = _displace(bundle.psi, strength)
+    return _kept_combination(weak_value(bundle.sel), up, down)
 
 
 def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:

@@ -39,6 +39,9 @@ CROSS_ABS = 1e-12
 
 ESTIMATOR_AGREEMENT = 1e-4
 
+# Default finite-difference step of the Fisher estimators
+FISHER_STEP = 1e-4
+
 
 class DegenerateReference(ValueError):
     """The keep-everything scheme has no first-order shift at this point."""
@@ -85,7 +88,6 @@ def snr(
     pointer: PointerParams,
     coupling: Coupling,
     trials: int = 1,
-    policy: fock.TruncationPolicy | None = None,
 ) -> SnrReport:
     """Shift-to-spread SNRs of both schemes and their trial-free ratio.
 
@@ -94,7 +96,7 @@ def snr(
     independent of the trial count, which is asserted to one part in 1e12.
     """
     _check_snr_inputs(sel, coupling, trials)  # before paying for a ladder
-    return snr_from_bundle(fock.branch_bundle(sel, pointer, coupling, policy), trials)
+    return snr_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials)
 
 
 def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
@@ -166,36 +168,37 @@ def qfi(
     pointer: PointerParams,
     coupling: Coupling,
     trials: int = 1,
-    step: float = 1e-4,
-    policy: fock.TruncationPolicy | None = None,
+    step: float = FISHER_STEP,
 ) -> FisherReport:
     """Fisher information of the kept pointer state in the coupling strength.
 
     The center point is assembled with certified truncation; all strength
-    neighbors reuse the center's converged cutoff so the vectors live on one
-    grid.  The derivative value is cross-checked against the fidelity
-    estimator with one Richardson refinement (the half-step evaluation
-    cancels the fidelity form's linear-in-step bias, which otherwise
-    dominates wherever the information is small but strength-sensitive).
-    If the two disagree by more than 1e-4 relative, the step is halved
-    once; persistent disagreement raises StepTooCoarse.
+    neighbors displace the center's certified pointer state at its cutoff,
+    so the vectors live on one grid.  The derivative value is cross-checked
+    against the fidelity estimator with one Richardson refinement (the
+    half-step evaluation cancels the fidelity form's linear-in-step bias,
+    which otherwise dominates wherever the information is small but
+    strength-sensitive).  If the two disagree by more than
+    ESTIMATOR_AGREEMENT relative, the step is halved once; persistent
+    disagreement raises StepTooCoarse.
     """
     _check_qfi_inputs(coupling, trials, step)  # before paying for a ladder
-    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling, policy), trials, step)
+    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials, step)
 
 
-def qfi_from_bundle(bundle: fock.BranchBundle, trials: int = 1, step: float = 1e-4) -> FisherReport:
+def qfi_from_bundle(
+    bundle: fock.BranchBundle, trials: int = 1, step: float = FISHER_STEP
+) -> FisherReport:
     """qfi read off an already certified branch bundle, the center point."""
-    sel, pointer, coupling = bundle.sel, bundle.pointer, bundle.coupling
-    _check_qfi_inputs(coupling, trials, step)
-    dim = bundle.n_max
+    strength = bundle.coupling.strength
+    _check_qfi_inputs(bundle.coupling, trials, step)
     center = bundle.kept.state.amplitudes
 
     def estimate(eps: float) -> tuple[float, float]:
-        plus, _ = fock.assemble_at_cutoff(sel, pointer, coupling.strength + eps, dim)
-        minus, _ = fock.assemble_at_cutoff(sel, pointer, coupling.strength - eps, dim)
+        plus, _ = fock.assemble_at_cutoff(bundle, strength + eps)
+        minus, _ = fock.assemble_at_cutoff(bundle, strength - eps)
         fisher, fid_full = fisher_from_states(center, plus, minus, eps)
-        half, _ = fock.assemble_at_cutoff(sel, pointer, coupling.strength + eps / 2.0, dim)
+        half, _ = fock.assemble_at_cutoff(bundle, strength + eps / 2.0)
         overlap = abs(complex(np.vdot(center, half)))
         fid_half = 8.0 * (1.0 - overlap) / (eps / 2.0) ** 2
         return fisher, 2.0 * fid_half - fid_full
@@ -214,7 +217,7 @@ def qfi_from_bundle(bundle: fock.BranchBundle, trials: int = 1, step: float = 1e
                 f"derivative {fisher!r} vs fidelity {check!r}"
             )
 
-    weighted = postselection_probability(sel) * fisher
+    weighted = postselection_probability(bundle.sel) * fisher
     bound = 1.0 / (trials * weighted)
     if not (fisher >= 0.0 and weighted <= fisher and bound > 0.0 and math.isfinite(bound)):
         raise ArithmeticError("Fisher information left its admissible range")

@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 ORTHOGONALITY_GUARD = 1e-12
 
 # Slack for float noise on the phi domain boundary.
-_ANGLE_SLACK = 1e-12
+ANGLE_SLACK = 1e-12
 
 
 class OrthogonalSelection(ValueError):
@@ -67,9 +67,9 @@ class SelectionParams:
     def __post_init__(self) -> None:
         phi = _require_finite("phi", self.phi)
         delta = _require_finite("delta", self.delta)
-        if -_ANGLE_SLACK <= phi < 0.0:
+        if -ANGLE_SLACK <= phi < 0.0:
             phi = 0.0
-        if math.pi < phi <= math.pi + _ANGLE_SLACK:
+        if math.pi < phi <= math.pi + ANGLE_SLACK:
             phi = math.pi
         if not 0.0 <= phi <= math.pi:
             raise ValueError(f"phi must lie in [0, pi], got {phi}")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import analytic, fock, metrology, svg
-from .model import Coupling, PointerParams, SelectionParams
+from .model import ANGLE_SLACK, Coupling, PointerParams, SelectionParams
 
 AXES = ("phi", "strength", "r")
 FAMILY_PARAMS = ("phi", "delta", "r", "theta", "strength")
@@ -92,7 +92,7 @@ class SweepSpec:
         if self.trials < 1:
             raise ValueError("trials must be a positive count")
         lo, hi = min(self.start, self.stop), max(self.start, self.stop)
-        if self.axis == "phi" and not (0.0 <= lo and hi <= math.pi + 1e-12):
+        if self.axis == "phi" and not (0.0 <= lo and hi <= math.pi + ANGLE_SLACK):
             raise ValueError("phi range must stay inside [0, pi]")
         if self.axis in ("strength", "r") and lo < 0.0:
             raise ValueError(f"{self.axis} range must be nonnegative")

@@ -203,10 +203,10 @@ def _estimator_check() -> CheckResult:
     sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
     try:
-        report = metrology.qfi(sel, pointer, Coupling(strength=1.0), trials=1, step=1e-4)
+        report = metrology.qfi(sel, pointer, Coupling(strength=1.0))
     except (metrology.StepTooCoarse, ArithmeticError, fock.TruncationInsufficient):
         return CheckResult("fisher estimators agree at default step", math.inf, False)
-    refined = report.step < 1e-4
+    refined = report.step < metrology.FISHER_STEP
     return CheckResult(
         "fisher estimators agree at default step", 1.0 if refined else 0.0, True
     )

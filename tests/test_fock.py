@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from spacmeter import analytic, fock
+from spacmeter import analytic, fock, metrology
 from spacmeter.model import Coupling, PointerParams, SelectionParams, weak_value
 
 P1_SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
@@ -136,12 +136,10 @@ class TestPointerVector:
 
 class TestTruncationPolicy:
     def test_defaults(self):
-        pol = fock.TruncationPolicy()
-        assert pol.initial_dim is None
-        assert pol.growth == 2
-        assert pol.tail_tol == 1e-14
-        assert pol.guard_band == 8
-        assert pol.max_dim == 4096
+        assert fock.TruncationPolicy().initial_dim is None
+        assert fock.TAIL_TOL == 1e-14
+        assert fock.GUARD_BAND == 8
+        assert fock.HARD_DIM_CAP == 4096
 
     def test_starting_dim_scales_with_occupation(self):
         pol = fock.TruncationPolicy()
@@ -151,25 +149,28 @@ class TestTruncationPolicy:
         assert low % 32 == 0 and high % 32 == 0
         assert high > low
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"initial_dim": 4},
-            {"growth": 1},
-            {"tail_tol": 0.0},
-            {"tail_tol": 1e-3},
-            {"guard_band": 0},
-            {"max_dim": 32},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"initial_dim": 4}])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             fock.TruncationPolicy(**kwargs)
 
-    def test_cap_reported_when_unreachable(self):
-        pol = fock.TruncationPolicy(initial_dim=64, max_dim=64)
-        with pytest.raises(fock.TruncationInsufficient):
-            fock.spac_state(PointerParams(r=6.0), pol)
+    def test_cap_reported_when_unreachable(self, monkeypatch):
+        # At r = 70 the pointer's bulk (about r^2 = 4900 photons) lies past
+        # HARD_DIM_CAP, so the pointer tail rejects the capped first rung
+        # before any displacement matrix is built: a typed error in bounded
+        # memory.
+        built = []
+        monkeypatch.setattr(fock, "_displacement", lambda *key: built.append(key))
+        ptr, cpl = PointerParams(r=70.0), Coupling(strength=0.9)
+        for call in (
+            lambda: fock.spac_state(ptr),
+            lambda: fock.branch_bundle(P1_SEL, ptr, cpl),
+            lambda: metrology.snr(P1_SEL, ptr, cpl),
+            lambda: metrology.qfi(P1_SEL, ptr, cpl),
+        ):
+            with pytest.raises(fock.TruncationInsufficient):
+                call()
+        assert built == []
 
 
 class TestAssembly:
@@ -295,17 +296,19 @@ class TestUnconditionedStatistics:
 
 class TestFixedCutoff:
     def test_matches_certified_assembly(self):
-        cpl = Coupling(strength=0.9)
-        out = fock.assemble_final_state(P1_SEL, P1_PTR, cpl)
-        vec, norm_sq = fock.assemble_at_cutoff(
-            P1_SEL, P1_PTR, cpl.strength, out.state.n_max
-        )
-        assert norm_sq == pytest.approx(out.norm_sq, rel=1e-13)
-        assert np.max(np.abs(vec - out.state.amplitudes)) <= 1e-12
+        bundle = fock.branch_bundle(P1_SEL, P1_PTR, Coupling(strength=0.9))
+        vec, norm_sq = fock.assemble_at_cutoff(bundle, 0.9)
+        assert norm_sq == pytest.approx(bundle.kept.norm_sq, rel=1e-13)
+        assert np.max(np.abs(vec - bundle.kept.state.amplitudes)) <= 1e-12
 
     def test_doubling_the_cutoff_is_inert(self):
-        vec_a, norm_a = fock.assemble_at_cutoff(P1_SEL, P1_PTR, 0.9, 128)
-        vec_b, norm_b = fock.assemble_at_cutoff(P1_SEL, P1_PTR, 0.9, 256)
+        cpl = Coupling(strength=0.9)
+        bundles = [
+            fock.branch_bundle(P1_SEL, P1_PTR, cpl, fock.TruncationPolicy(initial_dim=dim))
+            for dim in (128, 256)
+        ]
+        assert [b.n_max for b in bundles] == [128, 256]
+        (vec_a, norm_a), (vec_b, norm_b) = (fock.assemble_at_cutoff(b, 0.9) for b in bundles)
         assert norm_b == pytest.approx(norm_a, rel=1e-12)
         assert np.max(np.abs(vec_b[:128] - vec_a)) <= 1e-11
 

@@ -63,3 +63,34 @@ def test_verify_grid_point_runs_one_ladder(ladders):
     checks = verify._cross_engine_checks([(SEL, PTR, CPL)])
     assert len(checks) == 5 and all(c.passed for c in checks)
     assert len(ladders) == 1
+
+
+def _count_calls(monkeypatch, name):
+    """Records one entry per call of fock.<name>."""
+    calls = []
+    original = getattr(fock, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("start, rungs", [(None, 1), (16, 3)], ids=["sized-start", "start-16"])
+@pytest.mark.parametrize(
+    "step, used", [(metrology.FISHER_STEP, metrology.FISHER_STEP), (0.01, 0.005)],
+    ids=["step-kept", "step-halved"],
+)
+def test_qfi_builds_the_pointer_once_per_rung(monkeypatch, start, rungs, step, used):
+    # the strength neighbours of the Fisher estimate displace the bundle's
+    # pointer state; they must not rebuild it
+    if start is not None:
+        monkeypatch.setattr(fock.TruncationPolicy, "starting_dim", lambda self, *args: start)
+    tried = _count_calls(monkeypatch, "_rung")
+    built = _count_calls(monkeypatch, "_spac_amplitudes")
+    report = metrology.qfi(SEL, PTR, CPL, step=step)
+    assert report.step == used
+    assert len(tried) == rungs
+    assert len(built) == len(tried)

@@ -99,11 +99,10 @@ class TestSnr:
 
 class TestFisherFromStates:
     def _states(self, eps):
-        out = fock.assemble_final_state(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
-        dim = out.state.n_max
-        plus, _ = fock.assemble_at_cutoff(QFI_SEL, QFI_PTR, 1.0 + eps, dim)
-        minus, _ = fock.assemble_at_cutoff(QFI_SEL, QFI_PTR, 1.0 - eps, dim)
-        return out.state.amplitudes, plus, minus
+        bundle = fock.branch_bundle(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
+        plus, _ = fock.assemble_at_cutoff(bundle, 1.0 + eps)
+        minus, _ = fock.assemble_at_cutoff(bundle, 1.0 - eps)
+        return bundle.kept.state.amplitudes, plus, minus
 
     def test_gauge_invariance_under_phase_drift(self):
         eps = 1e-4
