@@ -37,7 +37,6 @@ from .metrology import (
     EngineMismatch,
     FisherReport,
     SnrReport,
-    StepTooCoarse,
     qfi,
     snr,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "SelectionParams",
     "ShiftResult",
     "SnrReport",
-    "StepTooCoarse",
     "SweepSpec",
     "TruncationInsufficient",
     "TruncationPolicy",

@@ -16,6 +16,8 @@ Identities the kernels satisfy (exercised by the test suite):
     K1(0) = <a> of the pointer state
     K0(mu)* = K0(-mu)
     |K0(mu)| <= 1
+    K0'(0) = <G> = -2i Im<a>, with G = adag - a and ' = d/dnu along real mu = nu
+    -K0''(0) = <G^dagger G> = 4 sigma^2 <P^2>
 """
 
 from __future__ import annotations
@@ -175,6 +177,39 @@ def pointer_shifts(
         transition=transition,
         inverse_norm_sq=norm,
     )
+
+
+def real_axis_kernel(pointer: PointerParams, nu: float) -> tuple[complex, complex, complex]:
+    """K0(nu), K0'(nu) = <phi| G D(nu) |phi> and K0''(nu) = -<phi| G^dagger G D(nu) |phi>.
+
+    For real nu, d/dnu D(nu) = G D(nu) with G = adag - a, and K0(nu) = gamma^2 f exp(E)
+    with c = alpha* - alpha, f = 1 + |alpha|^2 + c nu - nu^2 and E = -nu^2/2 + c nu.
+    """
+    if -nu * nu / 2.0 < _LOG_FLUSH:
+        return 0j, 0j, 0j
+    alpha = pointer.alpha
+    c = alpha.conjugate() - alpha
+    f = 1.0 + abs(alpha) ** 2 + c * nu - nu * nu
+    df, de = c - 2.0 * nu, c - nu
+    scale = pointer.norm_factor_sq * cmath.exp(-nu * nu / 2.0 + c * nu)
+    return scale * f, scale * (df + f * de), scale * (2.0 * df * de - 2.0 - f + f * de * de)
+
+
+def fisher_information(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> float:
+    """Fisher information of the normalized kept pointer state in the strength.
+
+    The kept combination B has dB = G C / 2, C its sigma_x-weighted twin, so
+    <B|dB>, <dB|dB> and N = <B|B> are sums of K0, K0' and K0'' at 0 and
+    -strength, and F = 4 (<dB|dB> / N - |<B|dB>|^2 / N^2).
+    """
+    plus, minus, diag = _cross_weight(sel)
+    cross = plus.conjugate() * minus
+    k0_g, slope_g, curve_g = real_axis_kernel(pointer, -coupling.strength)
+    _, slope_0, curve_0 = real_axis_kernel(pointer, 0.0)
+    norm = 2.0 * (diag + (cross * k0_g).real)
+    overlap = (plus - minus).real * slope_0 - (cross * slope_g).real
+    speed = 0.5 * ((cross * curve_g).real - diag * curve_0.real)
+    return 4.0 * (speed / norm - abs(overlap) ** 2 / (norm * norm))
 
 
 def initial_moments(pointer: PointerParams) -> PointerMoments:

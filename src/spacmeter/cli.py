@@ -91,11 +91,10 @@ def _cmd_snr(args) -> int:
 
 def _cmd_qfi(args) -> int:
     sel, pointer, coupling = _point(args)
-    report = metrology.qfi(sel, pointer, coupling, trials=args.trials, step=args.step)
+    report = metrology.qfi(sel, pointer, coupling, trials=args.trials)
     print(f"fisher = {report.fisher!r}")
     print(f"weighted_fisher = {report.weighted_fisher!r}")
     print(f"cramer_rao = {report.cramer_rao!r}")
-    print(f"step = {report.step!r}")
     return 0
 
 
@@ -206,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qfi", help="Fisher information in the coupling strength")
     _add_point_args(p)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--step", type=parse_number, default=metrology.FISHER_STEP)
     p.set_defaults(handler=_cmd_qfi)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV (and optional SVG)")
@@ -245,15 +243,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except metrology.StepTooCoarse as err:
+    except (ValueError, ArithmeticError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ValueError) else 1
 
 
 if __name__ == "__main__":

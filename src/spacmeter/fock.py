@@ -14,8 +14,9 @@ branches and, where the selection has a weak value, the guard band of the
 kept combination all fall below TAIL_TOL, and raises
 TruncationInsufficient if HARD_DIM_CAP is reached first.  The resulting
 BranchBundle holds the pointer and both displaced branches at that cutoff;
-the kept state, the transition value, the keep-everything moments and the
-shifts are all reads of it.  `spac_state` alone keeps a pointer-only ladder.
+the kept state, the transition value, the keep-everything moments, the
+shifts and the Fisher information in the strength are all reads of it.
+`spac_state` alone keeps a pointer-only ladder.
 """
 
 from __future__ import annotations
@@ -255,14 +256,29 @@ def _kept_combination(weak: complex, up: np.ndarray, down: np.ndarray) -> tuple[
     return combo / math.sqrt(norm_sq), norm_sq
 
 
+@lru_cache(maxsize=32)
+def _roots(size: int) -> np.ndarray:
+    """sqrt(1) .. sqrt(size - 1), read-only and shared by the ladder actions at one size."""
+    roots = np.sqrt(np.arange(1.0, size))
+    roots.flags.writeable = False
+    return roots
+
+
+def _ladder_action(v: np.ndarray, lower: bool) -> np.ndarray:
+    """a v (lower) or adag v on the truncated basis, by tridiagonal action."""
+    roots = _roots(len(v))
+    out = np.zeros(len(v), dtype=np.complex128)
+    if lower:
+        out[:-1] = roots * v[1:]
+    else:
+        out[1:] = roots * v[:-1]
+    return out
+
+
 def _ladder_means(v: np.ndarray) -> tuple[complex, complex, float]:
     """(<a>, <a^2>, <n>) by tridiagonal ladder action, no dense matrices."""
-    size = len(v)
-    roots = np.sqrt(np.arange(1.0, size))
-    av = np.zeros(size, dtype=np.complex128)
-    av[:-1] = roots * v[1:]
-    a2v = np.zeros(size, dtype=np.complex128)
-    a2v[:-1] = roots * av[1:]
+    av = _ladder_action(v, lower=True)
+    a2v = _ladder_action(av, lower=True)
     mean_a = complex(np.vdot(v, av))
     mean_a2 = complex(np.vdot(v, a2v))
     mean_n = float(np.vdot(av, av).real)
@@ -326,11 +342,29 @@ class BranchBundle:
         kept, base = self.kept_moments, self.base
         return kept.position_mean - base.position_mean, kept.momentum_mean - base.momentum_mean
 
+    @cached_property
+    def weighted(self) -> np.ndarray:
+        """C, the kept combination's observable-weighted twin; sigma_x flips the reverse branch."""
+        a = weak_value(self.sel)
+        return (1.0 + a) * self.up - (1.0 - a) * self.down
+
     def transition(self) -> complex:
         """<B|C> / <B|B>, B the kept combination and C its observable-weighted twin."""
-        a, kept = weak_value(self.sel), self.kept
-        weighted = (1.0 + a) * self.up - (1.0 - a) * self.down  # sigma_x flips the reverse branch
-        return complex(np.vdot(kept.state.amplitudes, weighted)) / math.sqrt(kept.norm_sq)
+        kept = self.kept
+        return complex(np.vdot(kept.state.amplitudes, self.weighted)) / math.sqrt(kept.norm_sq)
+
+    def fisher(self) -> float:
+        """Fisher information of the normalized kept state in the strength g, exactly.
+
+        d/dg D(+-g/2) = +-(1/2) G D(+-g/2) with G = adag - a, so the kept combination
+        B has dB = G C / 2, and F = 4 (<dB|dB> / N - |<B|dB>|^2 / N^2), N = <B|B>.
+        """
+        kept, c = self.kept, self.weighted
+        g_c = _ladder_action(c, lower=False) - _ladder_action(c, lower=True)  # 2 dB
+        if _band_mass(g_c) > 4.0 * kept.norm_sq * TAIL_TOL:
+            raise TruncationInsufficient(f"strength derivative past the guard band, n_max={self.n_max}")
+        overlap = complex(np.vdot(kept.state.amplitudes, g_c))
+        return (float(np.vdot(g_c, g_c).real) - abs(overlap) ** 2) / kept.norm_sq
 
     @cached_property
     def unconditioned(self) -> PointerMoments:
@@ -449,13 +483,10 @@ def nonpostselected_moments(
 
 
 def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarray, float]:
-    """Kept branch combination at another strength, on the bundle's cutoff.
+    """Kept branch combination at another strength, on the bundle's cutoff, uncertified.
 
-    Displaces the bundle's certified pointer state by +-strength/2 and
-    weights the branches with the weak value of its selection, without
-    certifying the result.  Returns the normalized vector and the raw
-    squared norm.  Meant for derivative estimates that need several
-    strengths on one grid.
+    Displaces the bundle's pointer state by +-strength/2 and weights the branches with
+    its selection's weak value; returns the normalized vector and the raw squared norm.
     """
     up, down, _ = _displace(bundle.psi, strength)
     return _kept_combination(weak_value(bundle.sel), up, down)
@@ -464,12 +495,7 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
 def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:
     """|<[X, P]> - i| for a normalized state; small only when well truncated."""
     v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
-    size = len(v)
-    roots = np.sqrt(np.arange(1.0, size))
-    av = np.zeros(size, dtype=np.complex128)
-    av[:-1] = roots * v[1:]
-    adv = np.zeros(size, dtype=np.complex128)
-    adv[1:] = roots * v[:-1]
+    av, adv = _ladder_action(v, lower=True), _ladder_action(v, lower=False)
     x_v = pointer.sigma * (av + adv)
     p_v = (0.5j / pointer.sigma) * (adv - av)
     # <XP> - <PX> = 2i Im <Xv|Pv> for Hermitian X, P

@@ -7,12 +7,11 @@ pointer position:
                keep-everything scheme's, with the success probability priced
                in.  Trial count cancels in the ratio and that is asserted.
 * qfi       -- quantum Fisher information of the kept pointer state with
-               respect to the interaction strength, by symmetric finite
-               difference of the state, cross-checked against a fidelity
-               estimator and weighted by the selection probability.
+               respect to the interaction strength, from the exact strength
+               derivative of the state, weighted by the selection probability.
 
-All state vectors come from the matrix engine; the closed-form engine enters
-only as an agreement check on the conditioned shift.
+All reported values come from the matrix engine; the closed-form engine
+checks the conditioned shift and the Fisher information (EngineMismatch).
 """
 
 from __future__ import annotations
@@ -37,16 +36,12 @@ REFERENCE_GUARD = 1e-12
 CROSS_REL = 1e-8
 CROSS_ABS = 1e-12
 
-ESTIMATOR_AGREEMENT = 1e-4
-
-# Default finite-difference step of the Fisher estimators
-FISHER_STEP = 1e-4
-
 
 class DegenerateReference(ValueError):
     """The keep-everything scheme has no first-order shift at this point."""
 
 
+# Raised by nothing in the package; kept because perfbench/workloads.py imports it.
 class StepTooCoarse(RuntimeError):
     """Derivative and fidelity estimators still disagree after refinement."""
 
@@ -69,7 +64,11 @@ class FisherReport:
     fisher: float
     weighted_fisher: float
     cramer_rao: float
-    step: float
+
+
+def _check_engines(name: str, oracle: float, closed: float) -> None:
+    if abs(oracle - closed) > CROSS_REL * max(abs(oracle), abs(closed)) + CROSS_ABS:
+        raise EngineMismatch(f"{name}: matrix {oracle!r} vs closed form {closed!r}")
 
 
 def _check_snr_inputs(sel: SelectionParams, coupling: Coupling, trials: int) -> None:
@@ -107,10 +106,7 @@ def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
     spread = math.sqrt(bundle.kept_moments.position_variance)
 
     closed = analytic.pointer_shifts(sel, pointer, coupling).position_shift
-    if abs(shift - closed) > CROSS_REL * max(abs(shift), abs(closed)) + CROSS_ABS:
-        raise EngineMismatch(
-            f"conditioned position shift: matrix {shift!r} vs closed form {closed!r}"
-        )
+    _check_engines("conditioned position shift", shift, closed)
 
     shift_plain = bundle.unconditioned_shift()
     spread_plain = math.sqrt(bundle.unconditioned.position_variance)
@@ -154,71 +150,31 @@ def fisher_from_states(center, plus, minus, step: float) -> tuple[float, float]:
     return fisher, fidelity_fisher
 
 
-def _check_qfi_inputs(coupling: Coupling, trials: int, step: float) -> None:
-    if trials < 1:
-        raise ValueError("trials must be a positive count")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if coupling.strength < step:
-        raise ValueError("strength must be at least the finite-difference step")
-
-
 def qfi(
     sel: SelectionParams,
     pointer: PointerParams,
     coupling: Coupling,
     trials: int = 1,
-    step: float = FISHER_STEP,
 ) -> FisherReport:
     """Fisher information of the kept pointer state in the coupling strength.
 
-    The center point is assembled with certified truncation; all strength
-    neighbors displace the center's certified pointer state at its cutoff,
-    so the vectors live on one grid.  The derivative value is cross-checked
-    against the fidelity estimator with one Richardson refinement (the
-    half-step evaluation cancels the fidelity form's linear-in-step bias,
-    which otherwise dominates wherever the information is small but
-    strength-sensitive).  If the two disagree by more than
-    ESTIMATOR_AGREEMENT relative, the step is halved once; persistent
-    disagreement raises StepTooCoarse.
+    An exact-derivative read of the certified bundle (BranchBundle.fisher), checked
+    against analytic.fisher_information; there is no step, so strength 0 is valid.
     """
-    _check_qfi_inputs(coupling, trials, step)  # before paying for a ladder
-    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials, step)
+    if trials < 1:  # before paying for a ladder
+        raise ValueError("trials must be a positive count")
+    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials)
 
 
-def qfi_from_bundle(
-    bundle: fock.BranchBundle, trials: int = 1, step: float = FISHER_STEP
-) -> FisherReport:
-    """qfi read off an already certified branch bundle, the center point."""
-    strength = bundle.coupling.strength
-    _check_qfi_inputs(bundle.coupling, trials, step)
-    center = bundle.kept.state.amplitudes
-
-    def estimate(eps: float) -> tuple[float, float]:
-        plus, _ = fock.assemble_at_cutoff(bundle, strength + eps)
-        minus, _ = fock.assemble_at_cutoff(bundle, strength - eps)
-        fisher, fid_full = fisher_from_states(center, plus, minus, eps)
-        half, _ = fock.assemble_at_cutoff(bundle, strength + eps / 2.0)
-        overlap = abs(complex(np.vdot(center, half)))
-        fid_half = 8.0 * (1.0 - overlap) / (eps / 2.0) ** 2
-        return fisher, 2.0 * fid_half - fid_full
-
-    def agree(a: float, b: float) -> bool:
-        return abs(a - b) <= ESTIMATOR_AGREEMENT * max(abs(a), abs(b))
-
-    used = step
-    fisher, check = estimate(used)
-    if not agree(fisher, check):
-        used = step / 2.0
-        fisher, check = estimate(used)
-        if not agree(fisher, check):
-            raise StepTooCoarse(
-                f"estimators disagree at step {step!r} and {used!r}: "
-                f"derivative {fisher!r} vs fidelity {check!r}"
-            )
-
+def qfi_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> FisherReport:
+    """qfi read off an already certified branch bundle."""
+    if trials < 1:
+        raise ValueError("trials must be a positive count")
+    fisher = bundle.fisher()
+    closed = analytic.fisher_information(bundle.sel, bundle.pointer, bundle.coupling)
+    _check_engines("Fisher information", fisher, closed)
     weighted = postselection_probability(bundle.sel) * fisher
-    bound = 1.0 / (trials * weighted)
+    bound = 1.0 / (trials * weighted) if weighted > 0.0 else math.inf
     if not (fisher >= 0.0 and weighted <= fisher and bound > 0.0 and math.isfinite(bound)):
-        raise ArithmeticError("Fisher information left its admissible range")
-    return FisherReport(fisher=fisher, weighted_fisher=weighted, cramer_rao=bound, step=used)
+        raise ArithmeticError(f"Fisher information {fisher!r} left its admissible range")
+    return FisherReport(fisher=fisher, weighted_fisher=weighted, cramer_rao=bound)

@@ -3,10 +3,10 @@
 run_verify drives every authoritative consistency check the package makes:
 closed forms against the matrix oracle over a parameter grid, the weak and
 strong coupling limits, truncation health (cutoff doubling, unitarity,
-norms, canonical commutator), and Fisher estimator agreement.  It also
-emits the transcription audit table; by policy those discrepancies are
-reported but never counted as failures, since they document the source
-text rather than this package.
+norms, canonical commutator), and the fidelity estimator of the Fisher
+information against its exact value.  It also emits the transcription
+audit table; by policy those discrepancies are reported but never counted
+as failures, since they document the source text rather than this package.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .model import (
     strong_conditional_value,
     weak_value,
 )
+
+ESTIMATOR_AGREEMENT = 1e-4  # relative gap, fidelity estimator vs exact Fisher information
+
+FAST_STRENGTHS = (0.0, 0.3, 1.0, 2.5)
 
 
 @dataclass(frozen=True)
@@ -95,121 +99,110 @@ def standard_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
 
 def fast_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
     return _grid(
-        (0.0, 0.3, 1.0, 2.5),
+        FAST_STRENGTHS,
         (math.pi / 12, math.pi / 3, 0.6 * math.pi),
         (0.0, 5 * math.pi / 12),
         (0.0, 2.0),
     )
 
 
-def _cross_engine_checks(points) -> list[CheckResult]:
+def _worst_of(rows, label: str = "{}") -> list[CheckResult]:
+    """One check per name in the rows' ratio dicts, holding its largest ratio."""
     worst: dict[str, float] = {}
-    for sel, pointer, coupling in points:
-        closed = analytic.pointer_shifts(sel, pointer, coupling)
-        bundle = fock.branch_bundle(sel, pointer, coupling)
-        o_dx, o_dp = bundle.kept_shift()
-        o_t, c_t = bundle.transition(), closed.transition
-        expected = coupling.coupling_constant(pointer) * strong_conditional_value(sel)
-        ratios = {
-            "position shift": _cross_ratio(closed.position_shift, o_dx),
-            "momentum shift": _cross_ratio(closed.momentum_shift, o_dp),
-            "transition value": max(
-                _cross_ratio(c_t.real, o_t.real), _cross_ratio(c_t.imag, o_t.imag)
-            ),
-            "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.kept.norm_sq / 2.0),
-            "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
-        }
+    for ratios in rows:
         for name, value in ratios.items():
             worst[name] = max(worst.get(name, 0.0), value)
-    return [
-        CheckResult(f"cross-engine {name} on grid", value, value <= 1.0)
-        for name, value in worst.items()
-    ]
+    return [CheckResult(label.format(name), value, value <= 1.0) for name, value in worst.items()]
+
+
+def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
+    closed = analytic.pointer_shifts(sel, pointer, coupling)
+    bundle = fock.branch_bundle(sel, pointer, coupling)
+    o_dx, o_dp = bundle.kept_shift()
+    o_t, c_t = bundle.transition(), closed.transition
+    expected = coupling.coupling_constant(pointer) * strong_conditional_value(sel)
+    closed_fisher = analytic.fisher_information(sel, pointer, coupling)
+    return {
+        "position shift": _cross_ratio(closed.position_shift, o_dx),
+        "momentum shift": _cross_ratio(closed.momentum_shift, o_dp),
+        "transition value": max(_cross_ratio(c_t.real, o_t.real), _cross_ratio(c_t.imag, o_t.imag)),
+        "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.kept.norm_sq / 2.0),
+        "Fisher information": _cross_ratio(closed_fisher, bundle.fisher()),
+        "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
+    }
+
+
+def _cross_engine_checks(points) -> list[CheckResult]:
+    return _worst_of((_cross_engine_ratios(*point) for point in points), "cross-engine {} on grid")
 
 
 def _limit_checks() -> list[CheckResult]:
-    angle_grid = [
-        (phi, delta)
-        for phi in (math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2)
-        for delta in (0.0, math.pi / 6, math.pi / 2)
-    ]
-    radii = (0.0, 2.0)
-    worst_weak = 0.0
-    worst_strong_t = 0.0
-    worst_strong_x = 0.0
-    worst_strong_p = 0.0
     weak_coupling = Coupling(strength=1e-4)
     strong_coupling = Coupling(strength=20.0)
-    for phi, delta in angle_grid:
-        sel = SelectionParams(phi=phi, delta=delta)
-        for r in radii:
-            pointer = PointerParams(r=r, theta=math.pi / 6)
-            t_weak = analytic.transition_value(sel, pointer, weak_coupling)
-            worst_weak = max(worst_weak, _ratio(abs(t_weak - weak_value(sel)), 1e-3))
-
-            t_strong = analytic.transition_value(sel, pointer, strong_coupling)
+    rows = []
+    for phi in (math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2):
+        for delta in (0.0, math.pi / 6, math.pi / 2):
+            sel = SelectionParams(phi=phi, delta=delta)
             target = strong_conditional_value(sel)
-            worst_strong_t = max(worst_strong_t, _ratio(abs(t_strong - target), 1e-8))
-            shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
-            g = strong_coupling.coupling_constant(pointer)
-            worst_strong_x = max(
-                worst_strong_x, _ratio(abs(shifts.position_shift - g * target), 1e-6 * g)
-            )
-            worst_strong_p = max(worst_strong_p, _ratio(abs(shifts.momentum_shift), 1e-6))
-    return [
-        CheckResult("weak limit: transition -> weak value", worst_weak, worst_weak <= 1.0),
-        CheckResult("strong limit: transition -> sin(phi)cos(delta)", worst_strong_t, worst_strong_t <= 1.0),
-        CheckResult("strong limit: position shift -> g sin(phi)cos(delta)", worst_strong_x, worst_strong_x <= 1.0),
-        CheckResult("strong limit: momentum shift -> 0", worst_strong_p, worst_strong_p <= 1.0),
-    ]
+            for r in (0.0, 2.0):
+                pointer = PointerParams(r=r, theta=math.pi / 6)
+                t_weak = analytic.transition_value(sel, pointer, weak_coupling)
+                t_strong = analytic.transition_value(sel, pointer, strong_coupling)
+                shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
+                g = strong_coupling.coupling_constant(pointer)
+                rows.append({
+                    "weak limit: transition -> weak value":
+                        _ratio(abs(t_weak - weak_value(sel)), 1e-3),
+                    "strong limit: transition -> sin(phi)cos(delta)":
+                        _ratio(abs(t_strong - target), 1e-8),
+                    "strong limit: position shift -> g sin(phi)cos(delta)":
+                        _ratio(abs(shifts.position_shift - g * target), 1e-6 * g),
+                    "strong limit: momentum shift -> 0": _ratio(abs(shifts.momentum_shift), 1e-6),
+                })
+    return _worst_of(rows)
 
 
 def _truncation_checks() -> list[CheckResult]:
     sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
     coupling = Coupling(strength=1.0)
-    out = []
-
     bundle = fock.branch_bundle(sel, pointer, coupling)
     dx, _ = bundle.kept_shift()
     doubled_pol = fock.TruncationPolicy(initial_dim=2 * bundle.n_max)
     dx2, _ = fock.branch_bundle(sel, pointer, coupling, doubled_pol).kept_shift()
-    q = _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx)))
-    out.append(CheckResult("truncation: cutoff doubling leaves shift fixed", q, q <= 1.0))
-
     op = fock.displacement_operator(coupling.strength / 2.0, bundle.n_max)
-    defect = op.unitarity_defect()
-    q = _ratio(defect, 1e-10)
-    out.append(CheckResult("truncation: displacement unitary on safe block", q, q <= 1.0))
-
     kept = bundle.kept.state.amplitudes
-    norm_err = max(
-        abs(float(np.vdot(bundle.psi, bundle.psi).real) - 1.0),
-        abs(float(np.vdot(kept, kept).real) - 1.0),
-    )
-    q = _ratio(norm_err, 1e-10)
-    out.append(CheckResult("truncation: state norms hold", q, q <= 1.0))
-
-    resid = max(
-        fock.commutator_residual(bundle.psi, pointer),
-        fock.commutator_residual(kept, pointer),
-    )
-    q = _ratio(resid, 1e-8)
-    out.append(CheckResult("truncation: canonical commutator", q, q <= 1.0))
-    return out
+    norm_err = max(abs(float(np.vdot(v, v).real) - 1.0) for v in (bundle.psi, kept))
+    resid = max(fock.commutator_residual(v, pointer) for v in (bundle.psi, kept))
+    return _worst_of([{
+        "cutoff doubling leaves shift fixed": _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx))),
+        "displacement unitary on safe block": _ratio(op.unitarity_defect(), 1e-10),
+        "state norms hold": _ratio(norm_err, 1e-10),
+        "canonical commutator": _ratio(resid, 1e-8),
+    }], "truncation: {}")
 
 
-def _estimator_check() -> CheckResult:
+def _estimator_check() -> list[CheckResult]:
+    """The fidelity estimator of the Fisher information against its exact value.
+
+    8 (1 - |<B(g)|B(g + eps)>|) / eps^2 uses no derivative identity; the
+    Richardson combination of eps and eps / 2 cancels its linear-in-eps bias.
+    """
     sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
-    try:
-        report = metrology.qfi(sel, pointer, Coupling(strength=1.0))
-    except (metrology.StepTooCoarse, ArithmeticError, fock.TruncationInsufficient):
-        return CheckResult("fisher estimators agree at default step", math.inf, False)
-    refined = report.step < metrology.FISHER_STEP
-    return CheckResult(
-        "fisher estimators agree at default step", 1.0 if refined else 0.0, True
-    )
+    step, rows = 1e-4, []
+    for strength in FAST_STRENGTHS[1:]:
+        bundle = fock.branch_bundle(sel, pointer, Coupling(strength=strength))
+        center, fidelity = bundle.kept.state.amplitudes, []
+        for eps in (step, step / 2.0):
+            near, _ = fock.assemble_at_cutoff(bundle, strength + eps)
+            # the fidelity value reads only the first neighbour
+            fidelity.append(metrology.fisher_from_states(center, near, near, eps)[1])
+        exact = bundle.fisher()
+        gap = abs(2.0 * fidelity[1] - fidelity[0] - exact)
+        rows.append({"fisher fidelity estimator vs exact derivative":
+                     _ratio(gap, ESTIMATOR_AGREEMENT * exact)})
+    return _worst_of(rows)
 
 
 def run_verify(level: str = "fast") -> VerifyReport:
@@ -221,7 +214,7 @@ def run_verify(level: str = "fast") -> VerifyReport:
     checks.extend(_cross_engine_checks(points))
     checks.extend(_limit_checks())
     checks.extend(_truncation_checks())
-    checks.append(_estimator_check())
+    checks.extend(_estimator_check())
     records = audit.run_audit()
     return VerifyReport(
         level=level,

@@ -116,3 +116,17 @@ def k0k1(alpha, mu, n=320):
     av = np.zeros(n, complex)
     av[:-1] = np.sqrt(np.arange(1, n)) * pv[1:]
     return np.vdot(pv, D @ pv), np.vdot(pv, D @ av)
+
+
+def fisher(phi, delta, alpha, G, n=320):
+    """Fisher information of the normalized kept state in G, by exact derivative.
+
+    d/dG D(+-G/2) = +-(1/2) gen D(+-G/2) for gen = adag - a, since gen
+    commutes with its own exponential.
+    """
+    A = weak_value(phi, delta)
+    Phi, nrm2, pv, up, dn = final_state(phi, delta, alpha, G, n)
+    a = ladder(n)
+    dB = 0.5 * (a.conj().T - a) @ ((1 + A) * up - (1 - A) * dn)
+    B = Phi * np.sqrt(nrm2)
+    return 4 * (np.vdot(dB, dB).real / nrm2 - abs(np.vdot(B, dB)) ** 2 / nrm2**2)

@@ -78,6 +78,34 @@ class TestKernels:
         assert k.overlap == 0j
         assert k.lowered_overlap == 0j
         assert analytic.transcribed_shift_kernel(P1_PTR, 60.0) == 0j
+        assert analytic.real_axis_kernel(P1_PTR, 60.0) == (0j, 0j, 0j)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    def test_slope_identities_at_zero(self, sigma):
+        # K0'(0) = <G> = -2i Im<a> and -K0''(0) = <G^dagger G> = 4 sigma^2 <P^2>
+        ptr = PointerParams(r=2.0, theta=math.pi / 6, sigma=sigma)
+        _, slope, curve = analytic.real_axis_kernel(ptr, 0.0)
+        v = bf.spac(ptr.alpha, 160)
+        a = bf.ladder(160)
+        gv = (a.conj().T - a) @ v
+        assert slope == pytest.approx(complex(v.conj() @ gv), abs=1e-12)
+        assert slope == pytest.approx(-2j * analytic.mean_lowering(ptr).imag, abs=1e-14)
+        assert -curve == pytest.approx(float((gv.conj() @ gv).real), abs=1e-12)
+        m = analytic.initial_moments(ptr)
+        second_p = m.momentum_variance + m.momentum_mean ** 2
+        assert -curve == pytest.approx(4.0 * sigma * sigma * second_p, abs=1e-12)
+
+    def test_real_axis_kernel_matches_bruteforce(self):
+        # K0'(nu) = <phi| G D(nu) |phi>, K0''(nu) = -<phi| G^dagger G D(nu) |phi>
+        v = bf.spac(P1_PTR.alpha, 160)
+        a = bf.ladder(160)
+        gen = a.conj().T - a
+        for nu in (0.6, -1.2, 2.5):
+            k0, slope, curve = analytic.real_axis_kernel(P1_PTR, nu)
+            assert k0 == pytest.approx(analytic.displaced_kernels(P1_PTR, nu).overlap, abs=1e-14)
+            dv = bf.dmat(nu, 160) @ v
+            assert slope == pytest.approx(complex(v.conj() @ gen @ dv), abs=1e-12)
+            assert curve == pytest.approx(complex(v.conj() @ gen @ gen @ dv), abs=1e-12)
 
 
 class TestTranscribedKernel:

@@ -94,7 +94,7 @@ class TestVerifyRunner:
         report = verify.run_verify("fast")
         assert report.level == "fast"
         assert report.failures == 0
-        assert len(report.checks) == 14
+        assert len(report.checks) == 15
         assert report.elapsed < 60.0
         for check in report.checks:
             assert check.passed
@@ -105,6 +105,7 @@ class TestVerifyRunner:
         names = " ".join(check.name for check in report.checks)
         for needle in ("cross-engine", "weak limit", "strong limit", "truncation", "fisher"):
             assert needle in names
+        assert "cross-engine Fisher information on grid" in names
 
     def test_lines_render_marks_and_audit(self):
         report = verify.run_verify("fast")
@@ -113,7 +114,7 @@ class TestVerifyRunner:
         assert "[ok  ]" in text
         assert "FAIL" not in text
         assert "informational" in text
-        assert "0 failure(s) in 14 checks" in text
+        assert "0 failure(s) in 15 checks" in text
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

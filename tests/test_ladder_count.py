@@ -61,7 +61,7 @@ def test_sweep_row_runs_one_ladder(ladders, outputs):
 
 def test_verify_grid_point_runs_one_ladder(ladders):
     checks = verify._cross_engine_checks([(SEL, PTR, CPL)])
-    assert len(checks) == 5 and all(c.passed for c in checks)
+    assert len(checks) == 6 and all(c.passed for c in checks)
     assert len(ladders) == 1
 
 
@@ -79,18 +79,25 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("start, rungs", [(None, 1), (16, 3)], ids=["sized-start", "start-16"])
-@pytest.mark.parametrize(
-    "step, used", [(metrology.FISHER_STEP, metrology.FISHER_STEP), (0.01, 0.005)],
-    ids=["step-kept", "step-halved"],
-)
-def test_qfi_builds_the_pointer_once_per_rung(monkeypatch, start, rungs, step, used):
-    # the strength neighbours of the Fisher estimate displace the bundle's
-    # pointer state; they must not rebuild it
+def test_qfi_builds_the_pointer_once_per_rung(monkeypatch, start, rungs):
+    # the Fisher information is a read of the bundle's own branches; it
+    # must not rebuild the pointer state
     if start is not None:
         monkeypatch.setattr(fock.TruncationPolicy, "starting_dim", lambda self, *args: start)
     tried = _count_calls(monkeypatch, "_rung")
     built = _count_calls(monkeypatch, "_spac_amplitudes")
-    report = metrology.qfi(SEL, PTR, CPL, step=step)
-    assert report.step == used
+    metrology.qfi(SEL, PTR, CPL)
     assert len(tried) == rungs
     assert len(built) == len(tried)
+
+
+def test_qfi_displaces_once_per_rung(monkeypatch):
+    # the exact strength derivative is a read of the bundle's branches: no
+    # displacement beyond the bundle's own and no neighbour states
+    tried = _count_calls(monkeypatch, "_rung")
+    lookups = _count_calls(monkeypatch, "_displacement")
+    neighbours = _count_calls(monkeypatch, "assemble_at_cutoff")
+    metrology.qfi(SEL, PTR, CPL)
+    assert len(tried) == 1
+    assert len(lookups) == len(tried)
+    assert neighbours == []

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bruteforce as bf
 from spacmeter import analytic, fock, metrology
 from spacmeter.model import (
     Coupling,
@@ -129,25 +130,25 @@ class TestFisherFromStates:
 
 class TestQfi:
     def test_frozen_benchmark_is_step_and_strength_independent(self):
+        # one branch, the one-photon pointer: F = <G^dagger G> = 3 exactly
         for strength in (0.2, 1.0, 2.0):
             rep = metrology.qfi(BENCH_SEL, BENCH_PTR, Coupling(strength=strength))
-            assert rep.fisher == pytest.approx(2.9999999875, abs=1e-8)
-            assert rep.weighted_fisher == pytest.approx(1.49999999375, abs=1e-8)
-            assert rep.cramer_rao == pytest.approx(2.0 / 3.0, abs=1e-4)
-            assert rep.step == 1e-4
+            assert rep.fisher == pytest.approx(3.0, abs=1e-12)
+            assert rep.weighted_fisher == pytest.approx(1.5, abs=1e-12)
+            assert rep.cramer_rao == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_frozen_strength_sweep_points(self):
         weak = metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=0.1))
-        assert weak.weighted_fisher == pytest.approx(0.0741461087108056, rel=1e-9)
+        assert weak.weighted_fisher == pytest.approx(0.07414610704010671, rel=1e-9)
         strong = metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
-        assert strong.weighted_fisher == pytest.approx(11.584186568050567, rel=1e-9)
+        assert strong.weighted_fisher == pytest.approx(11.584186981121846, rel=1e-9)
 
     def test_frozen_radius_sweep_is_monotone(self):
         pins = {
-            0.0: 2.7494984812183336,
-            1.0: 4.033640811849145,
-            2.0: 11.584186568050567,
-            3.0: 26.262525852140968,
+            0.0: 2.749498485812508,
+            1.0: 4.033640847481491,
+            2.0: 11.584186981121846,
+            3.0: 26.262528179003073,
         }
         seen = []
         for r, want in pins.items():
@@ -170,18 +171,52 @@ class TestQfi:
         assert many.cramer_rao == pytest.approx(lone.cramer_rao / 100.0, rel=1e-12)
         assert many.fisher == lone.fisher
 
-    def test_coarse_step_raises_after_one_refinement(self):
-        with pytest.raises(metrology.StepTooCoarse):
-            metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0), step=0.5)
+    @pytest.mark.parametrize(
+        "sel, ptr, strength",
+        [
+            (QFI_SEL, QFI_PTR, 0.1),
+            (QFI_SEL, QFI_PTR, 1.0),
+            (SNR_SEL, SNR_PTR, 0.3),
+            (SelectionParams(phi=1.0, delta=0.3), PointerParams(r=3.0, theta=2.0), 2.5),
+        ],
+    )
+    def test_engines_and_brute_force_agree(self, sel, ptr, strength):
+        rep = metrology.qfi(sel, ptr, Coupling(strength=strength))
+        closed = analytic.fisher_information(sel, ptr, Coupling(strength=strength))
+        brute = bf.fisher(sel.phi, sel.delta, ptr.alpha, strength)
+        assert rep.fisher == pytest.approx(closed, rel=1e-12)
+        assert rep.fisher == pytest.approx(brute, rel=1e-12)
 
     def test_invalid_arguments_rejected(self):
-        cpl = Coupling(strength=1.0)
         with pytest.raises(ValueError):
-            metrology.qfi(QFI_SEL, QFI_PTR, cpl, trials=0)
-        with pytest.raises(ValueError):
-            metrology.qfi(QFI_SEL, QFI_PTR, cpl, step=0.0)
-        with pytest.raises(ValueError):
-            metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1e-5))
+            metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0), trials=0)
+
+    def test_zero_and_tiny_strength_are_finite(self):
+        # no step, so strength 0 is an ordinary point and the value is
+        # continuous into it
+        pointer = PointerParams(r=2.0, theta=0.5)
+        sel = SelectionParams(phi=1.0, delta=0.3)
+        values = [
+            metrology.qfi(sel, pointer, Coupling(strength=s)).fisher
+            for s in (0.0, 1e-300, 1e-5, 1e-4)
+        ]
+        assert values[0] == pytest.approx(0.3739225340334, rel=1e-12)
+        assert values[1] == values[0]
+        # dF/dg is about -1.15 here, so F moves by no more than 2 g
+        assert abs(values[2] - values[0]) <= 2e-5
+        assert abs(values[3] - values[0]) <= 2e-4
+        rep = metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1e-5))
+        assert math.isfinite(rep.cramer_rao) and rep.cramer_rao > 0.0
+
+    def test_engine_disagreement_is_fatal(self, monkeypatch):
+        true_fisher = analytic.fisher_information
+
+        def skewed(sel, pointer, coupling):
+            return true_fisher(sel, pointer, coupling) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(analytic, "fisher_information", skewed)
+        with pytest.raises(metrology.EngineMismatch):
+            metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
 
     def test_orthogonal_selection_propagates(self):
         with pytest.raises(OrthogonalSelection):

@@ -300,10 +300,14 @@ class TestCommandLine:
         assert code == 0, captured.err
         assert "ratio = " in captured.out
 
-    def test_qfi_coarse_step_exits_two(self, capsys):
-        code = cli.main(["qfi", "--step", "0.5"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("strength", ["0", "1e-9"])
+    def test_qfi_at_vanishing_strength(self, capsys, strength):
+        code = cli.main(["qfi", "--strength", strength])
+        out = capsys.readouterr().out
+        assert code == 0
+        values = dict(line.split(" = ") for line in out.splitlines())
+        assert set(values) == {"fisher", "weighted_fisher", "cramer_rao"}
+        assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in values.values())
 
     def test_qfi_happy_path(self, capsys):
         code = cli.main(["qfi", "--phi", "pi/2", "--delta", "0", "--r", "0"])
