@@ -8,12 +8,8 @@ standard figures, and `verify`/`audit` hold the self-checking machinery.
 """
 
 from .analytic import (
-    DisplacedKernels,
     ShiftResult,
-    displaced_kernels,
     initial_moments,
-    inverse_norm_sq,
-    mean_lowering,
     pointer_shifts,
     transition_value,
     weak_limit_shifts,
@@ -61,7 +57,6 @@ __all__ = [
     "AuditRecord",
     "Coupling",
     "DegenerateReference",
-    "DisplacedKernels",
     "EngineMismatch",
     "FisherReport",
     "FockOperator",
@@ -78,11 +73,8 @@ __all__ = [
     "TruncationPolicy",
     "VerifyReport",
     "assemble_final_state",
-    "displaced_kernels",
     "displacement_operator",
     "initial_moments",
-    "inverse_norm_sq",
-    "mean_lowering",
     "moments",
     "nonpostselected_moments",
     "pointer_shifts",

@@ -1,22 +1,28 @@
 """Closed-form engine for the postselected pointer statistics.
 
-Every quantity here is assembled from two scalar kernels of the photon-added
-coherent state |phi> = gamma * adag |alpha>,
+Every quantity here is read from one real-axis kernel of the photon-added
+coherent state |phi> = gamma * adag |alpha> (`real_axis_kernel`),
 
-    K0(mu) = <phi| D(mu) |phi>
-    K1(mu) = <phi| D(mu) a |phi>,
+    K0(nu) = <phi| D(nu) |phi>
+    K1(nu) = <phi| D(nu) a |phi>,
 
 derived by normal ordering the displaced ladder operators over the coherent
-overlap <alpha|alpha + mu>.  No truncation is involved anywhere.  The
-independent matrix engine lives in `fock` and shares no formulas with this
-module, so agreement between the two is a real consistency check.
+overlap <alpha|alpha + nu>, together with the slopes of K0 along real nu.
+The strength is real, so the kernel is only ever needed at nu = 0 and
+nu = +-strength; one branch sum (`_branch_sum`) turns it into the weak-value
+weights, the norm, the transition value, the shifts and the Fisher
+information.  No truncation is involved anywhere.  The independent matrix
+engine lives in `fock` and shares no formulas with this module, so
+agreement between the two is a real consistency check.
 
-Identities the kernels satisfy (exercised by the test suite):
+Identities the kernel satisfies (exercised by the test suite):
     K0(0) = 1
     K1(0) = <a> of the pointer state
-    K0(mu)* = K0(-mu)
-    |K0(mu)| <= 1
-    K0'(0) = <G> = -2i Im<a>, with G = adag - a and ' = d/dnu along real mu = nu
+    K0(nu)* = K0(-nu)
+    |K0(nu)| <= 1
+    K0'(nu) = <phi| G D(nu) |phi>, with G = adag - a, since d/dnu D(nu) = G D(nu)
+    K0''(nu) = -<phi| G^dagger G D(nu) |phi>
+    K0'(0) = <G> = -2i Im<a>
     -K0''(0) = <G^dagger G> = 4 sigma^2 <P^2>
 """
 
@@ -34,18 +40,9 @@ from .model import (
     weak_value,
 )
 
-# exp(-|mu|^2 / 2) below 1e-300 is flushed to an exact zero so that
-# Gaussian-suppressed kernels never turn into inf * 0 = nan.
-_LOG_FLUSH = math.log(1e-300)
-
-
-@dataclass(frozen=True)
-class DisplacedKernels:
-    """Scalar overlaps of the pointer state with its displaced image."""
-
-    shift: complex
-    overlap: complex          # <phi| D(shift) |phi>
-    lowered_overlap: complex  # <phi| D(shift) a |phi>
+# |nu| past this puts exp(-nu^2 / 2) below 1e-300; the kernels there are flushed
+# to an exact zero so that Gaussian-suppressed terms never turn into inf * 0 = nan.
+FLUSH_SHIFT = math.sqrt(-2.0 * math.log(1e-300))
 
 
 @dataclass(frozen=True)
@@ -58,73 +55,62 @@ class ShiftResult:
     inverse_norm_sq: float
 
 
-def displaced_kernels(pointer: PointerParams, shift: complex) -> DisplacedKernels:
-    """Closed-form K0 and K1 for an arbitrary complex displacement."""
-    mu = complex(shift)
-    alpha = pointer.alpha
-    g2 = pointer.norm_factor_sq
-    exponent = -abs(mu) ** 2 / 2.0
-    if exponent < _LOG_FLUSH:
-        return DisplacedKernels(shift=mu, overlap=0j, lowered_overlap=0j)
-    # The remaining exponential factor is a pure phase: alpha* mu - mu* alpha.
-    envelope = cmath.exp(exponent + alpha.conjugate() * mu - mu.conjugate() * alpha)
-    mod2 = abs(alpha) ** 2
-    k0 = g2 * (1.0 + (alpha.conjugate() - mu.conjugate()) * (alpha + mu)) * envelope
-    k1 = g2 * ((alpha + mu) * (1.0 + mod2 - alpha * mu.conjugate()) + alpha) * envelope
-    return DisplacedKernels(shift=mu, overlap=k0, lowered_overlap=k1)
-
-
 def mean_lowering(pointer: PointerParams) -> complex:
     """<a> of the pointer state: gamma^2 * alpha * (2 + r^2)."""
     return pointer.norm_factor_sq * pointer.alpha * (2.0 + pointer.r * pointer.r)
 
 
-def transcribed_shift_kernel(pointer: PointerParams, strength: float) -> complex:
-    """Reference cross-term kernel, kept verbatim for the audit trail.
+def real_axis_kernel(
+    pointer: PointerParams, nu: float
+) -> tuple[complex, complex, complex, complex]:
+    """K0(nu), K1(nu), K0'(nu) and K0''(nu) for a real displacement nu.
 
-    This is an as-transcribed variant: it differs from the kernel-exact
-    combination 2 (K1(G) + (G/2) K0(G)) / gamma^2 by a missing -G^3 term in
-    the bracket.  The first-principles shift assembly never uses it; see
-    `audit` for the side-by-side comparison.
-
-    `strength` is a plain signed float because the audit evaluates the
-    kernel at both +G and -G.
+    K0 and K1 are the normal-ordered products over <alpha|alpha + nu>, with
+    f = 1 + (alpha* - nu)(alpha + nu) and the envelope exp(-nu^2/2 + c nu),
+    c = alpha* - alpha; the slopes differentiate gamma^2 f exp(-nu^2/2 + c nu).
     """
+    if abs(nu) > FLUSH_SHIFT:
+        return 0j, 0j, 0j, 0j
     alpha = pointer.alpha
-    mod2 = abs(alpha) ** 2
-    g2inv = 1.0 + mod2
-    g = float(strength)
-    if -g * g / 2.0 < _LOG_FLUSH:
-        return 0j
-    bracket = (
-        2.0 * alpha * (2.0 + mod2)
-        + 3.0 * g * g2inv
-        - 2.0 * alpha * alpha * g
-        + g * g * (alpha.conjugate() - 3.0 * alpha)
-    )
-    return cmath.exp(-2.0j * g * alpha.imag) * bracket * math.exp(-g * g / 2.0)
+    g2 = pointer.norm_factor_sq
+    # The exponent past the Gaussian is a pure phase: alpha* nu - nu alpha.
+    envelope = cmath.exp(-abs(nu) ** 2 / 2.0 + alpha.conjugate() * nu - nu * alpha)
+    f = 1.0 + (alpha.conjugate() - nu) * (alpha + nu)
+    k0 = g2 * f * envelope
+    k1 = g2 * ((alpha + nu) * (1.0 + abs(alpha) ** 2 - alpha * nu) + alpha) * envelope
+    c = alpha.conjugate() - alpha
+    df, de = c - 2.0 * nu, c - nu
+    slope = g2 * (df + f * de) * envelope
+    curve = g2 * (2.0 * df * de - 2.0 - f + f * de * de) * envelope
+    return k0, k1, slope, curve
 
 
-def _cross_weight(sel: SelectionParams) -> tuple[complex, complex, float]:
-    """(1+A), (1-A) and 1+|A|^2 for the branch superposition."""
+@dataclass(frozen=True)
+class _BranchSum:
+    """The kept combination (1+A) D(+G/2)|phi> + (1-A) D(-G/2)|phi>, summed over branches."""
+
+    weak: complex     # A
+    diag: float       # 1 + |A|^2
+    weight: complex   # (1+A)* (1-A); its conjugate weighs the forward cross term
+    back: tuple[complex, complex, complex, complex]  # the kernel at -G
+    cross: complex    # (1+A)* (1-A) K0(-G)
+    half_norm: float  # N / 2 = 1 + |A|^2 + Re[cross]
+
+    @property
+    def transition(self) -> complex:
+        return (2.0 * self.weak.real - 1j * self.cross.imag) / self.half_norm
+
+
+def _branch_sum(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> _BranchSum:
     a = weak_value(sel)
-    return 1.0 + a, 1.0 - a, 1.0 + abs(a) ** 2
-
-
-def inverse_norm_sq(
-    sel: SelectionParams, pointer: PointerParams, coupling: Coupling
-) -> float:
-    """Inverse squared normalization of the kept-outcome pointer state.
-
-    Half the squared norm of (1+A) D(+G/2)|phi> + (1-A) D(-G/2)|phi>;
-    evaluates to 2 at zero strength and to 1 + |A|^2 at large strength.
-    """
-    plus, minus, diag = _cross_weight(sel)
-    k0 = displaced_kernels(pointer, -coupling.strength).overlap
-    value = diag + (plus.conjugate() * minus * k0).real
-    if not value > 0.0:
-        raise ArithmeticError(f"nonpositive norm {value}; parameters out of range")
-    return value
+    diag = 1.0 + abs(a) ** 2
+    weight = (1.0 + a).conjugate() * (1.0 - a)
+    back = real_axis_kernel(pointer, -coupling.strength)
+    cross = weight * back[0]
+    half_norm = diag + cross.real
+    if not half_norm > 0.0:
+        raise ArithmeticError(f"nonpositive norm {half_norm}; parameters out of range")
+    return _BranchSum(a, diag, weight, back, cross, half_norm)
 
 
 def transition_value(
@@ -135,11 +121,7 @@ def transition_value(
     Interpolates from the weak value (strength -> 0) to the projective
     conditional value sin(phi) cos(delta) (strength -> infinity).
     """
-    plus, minus, diag = _cross_weight(sel)
-    k0 = displaced_kernels(pointer, -coupling.strength).overlap
-    cross = plus.conjugate() * minus * k0
-    norm = diag + cross.real
-    return (2.0 * weak_value(sel).real - 1j * cross.imag) / norm
+    return _branch_sum(sel, pointer, coupling).transition
 
 
 def pointer_shifts(
@@ -152,47 +134,27 @@ def pointer_shifts(
     are then dx = 2 sigma Re[d<a>], dp = Im[d<a>] / sigma with hbar = 1.
     """
     g = coupling.strength
-    a = weak_value(sel)
-    plus, minus, diag = 1.0 + a, 1.0 - a, 1.0 + abs(a) ** 2
+    b = _branch_sum(sel, pointer, coupling)
     a_mean = mean_lowering(pointer)
-    back = displaced_kernels(pointer, -g)
-    fore = displaced_kernels(pointer, g)
+    k0_back, k1_back, _, _ = b.back
+    k0_fore, k1_fore, _, _ = real_axis_kernel(pointer, g)
     raw = (
-        2.0 * diag * a_mean
-        + 2.0 * g * a.real
-        + plus.conjugate() * minus * (back.lowered_overlap - 0.5 * g * back.overlap)
-        + minus.conjugate() * plus * (fore.lowered_overlap + 0.5 * g * fore.overlap)
+        2.0 * b.diag * a_mean
+        + 2.0 * g * b.weak.real
+        + b.weight * (k1_back - 0.5 * g * k0_back)
+        + b.weight.conjugate() * (k1_fore + 0.5 * g * k0_fore)
     )
-    cross = plus.conjugate() * minus * back.overlap
-    norm = diag + cross.real
-    delta_a = raw / (2.0 * norm) - a_mean
+    delta_a = raw / (2.0 * b.half_norm) - a_mean
     dx = 2.0 * pointer.sigma * delta_a.real
     dp = delta_a.imag / pointer.sigma
     if not (math.isfinite(dx) and math.isfinite(dp)):
         raise ArithmeticError(f"nonfinite shift ({dx}, {dp})")
-    transition = (2.0 * a.real - 1j * cross.imag) / norm
     return ShiftResult(
         position_shift=dx,
         momentum_shift=dp,
-        transition=transition,
-        inverse_norm_sq=norm,
+        transition=b.transition,
+        inverse_norm_sq=b.half_norm,
     )
-
-
-def real_axis_kernel(pointer: PointerParams, nu: float) -> tuple[complex, complex, complex]:
-    """K0(nu), K0'(nu) = <phi| G D(nu) |phi> and K0''(nu) = -<phi| G^dagger G D(nu) |phi>.
-
-    For real nu, d/dnu D(nu) = G D(nu) with G = adag - a, and K0(nu) = gamma^2 f exp(E)
-    with c = alpha* - alpha, f = 1 + |alpha|^2 + c nu - nu^2 and E = -nu^2/2 + c nu.
-    """
-    if -nu * nu / 2.0 < _LOG_FLUSH:
-        return 0j, 0j, 0j
-    alpha = pointer.alpha
-    c = alpha.conjugate() - alpha
-    f = 1.0 + abs(alpha) ** 2 + c * nu - nu * nu
-    df, de = c - 2.0 * nu, c - nu
-    scale = pointer.norm_factor_sq * cmath.exp(-nu * nu / 2.0 + c * nu)
-    return scale * f, scale * (df + f * de), scale * (2.0 * df * de - 2.0 - f + f * de * de)
 
 
 def fisher_information(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> float:
@@ -202,13 +164,12 @@ def fisher_information(sel: SelectionParams, pointer: PointerParams, coupling: C
     <B|dB>, <dB|dB> and N = <B|B> are sums of K0, K0' and K0'' at 0 and
     -strength, and F = 4 (<dB|dB> / N - |<B|dB>|^2 / N^2).
     """
-    plus, minus, diag = _cross_weight(sel)
-    cross = plus.conjugate() * minus
-    k0_g, slope_g, curve_g = real_axis_kernel(pointer, -coupling.strength)
-    _, slope_0, curve_0 = real_axis_kernel(pointer, 0.0)
-    norm = 2.0 * (diag + (cross * k0_g).real)
-    overlap = (plus - minus).real * slope_0 - (cross * slope_g).real
-    speed = 0.5 * ((cross * curve_g).real - diag * curve_0.real)
+    b = _branch_sum(sel, pointer, coupling)
+    _, _, slope_g, curve_g = b.back
+    _, _, slope_0, curve_0 = real_axis_kernel(pointer, 0.0)
+    norm = 2.0 * b.half_norm
+    overlap = 2.0 * b.weak.real * slope_0 - (b.weight * slope_g).real
+    speed = 0.5 * ((b.weight * curve_g).real - b.diag * curve_0.real)
     return 4.0 * (speed / norm - abs(overlap) ** 2 / (norm * norm))
 
 

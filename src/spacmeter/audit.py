@@ -2,11 +2,12 @@
 
 The source text this package was built from prints several closed-form
 results whose algebra does not reproduce the model it defines.  This module
-keeps those expressions exactly as printed (see also
-analytic.transcribed_shift_kernel) and tabulates them against the
-first-principles closed forms and the matrix oracle, so the disagreement is
-documented data rather than silent behavior.  Discrepancies recorded here
-are informational; they never gate anything.
+keeps those expressions exactly as printed (the cross-term kernel, the
+inverse normalization and the shifts built from them) and tabulates them
+against the first-principles closed forms and the matrix oracle, so the
+disagreement is documented data rather than silent behavior.  `analytic`
+never uses them.  Discrepancies recorded here are informational; they never
+gate anything.
 """
 
 from __future__ import annotations
@@ -53,13 +54,36 @@ class AuditRecord:
         return abs(self.first_principles - self.oracle)
 
 
+def transcribed_shift_kernel(pointer: PointerParams, strength: float) -> complex:
+    """Cross-term kernel exactly as printed.
+
+    It differs from the kernel-exact combination 2 (K1(G) + (G/2) K0(G)) / gamma^2
+    by a missing -G^3 term in the bracket.  `strength` is a plain signed float
+    because the transcribed shifts evaluate it at both +G and -G.
+    """
+    alpha = pointer.alpha
+    mod2 = abs(alpha) ** 2
+    g2inv = 1.0 + mod2
+    g = float(strength)
+    if abs(g) > analytic.FLUSH_SHIFT:
+        return 0j
+    bracket = (
+        2.0 * alpha * (2.0 + mod2)
+        + 3.0 * g * g2inv
+        - 2.0 * alpha * alpha * g
+        + g * g * (alpha.conjugate() - 3.0 * alpha)
+    )
+    return cmath.exp(-2.0j * g * alpha.imag) * bracket * math.exp(-g * g / 2.0)
+
+
 def transcribed_inverse_norm_sq(
     sel: SelectionParams, pointer: PointerParams, coupling: Coupling
 ) -> float:
     """Inverse squared normalization exactly as printed in the source text.
 
     The bracket keeps the printed 2i Im(alpha) term, which the kernel-true
-    form (analytic.inverse_norm_sq) replaces by 2i strength Im(alpha).
+    form (analytic.pointer_shifts(...).inverse_norm_sq) replaces by
+    2i strength Im(alpha).
     """
     a = weak_value(sel)
     alpha = pointer.alpha
@@ -92,8 +116,8 @@ def transcribed_shifts(
     g2inv = 1.0 + abs(alpha) ** 2
     s = abs(alpha) ** 2
     beta_sq = 1.0 / transcribed_inverse_norm_sq(sel, pointer, coupling)
-    f_fore = analytic.transcribed_shift_kernel(pointer, g)
-    f_back = analytic.transcribed_shift_kernel(pointer, -g)
+    f_fore = transcribed_shift_kernel(pointer, g)
+    f_back = transcribed_shift_kernel(pointer, -g)
     plus = (1.0 + a).conjugate() * (1.0 - a)
     minus = (1.0 - a).conjugate() * (1.0 + a)
     re_br = (

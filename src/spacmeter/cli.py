@@ -39,7 +39,10 @@ def parse_number(text: str) -> float:
         coefficient = float(head)
     value = coefficient * math.pi
     if match.group(2):
-        value /= float(match.group(2))
+        denominator = float(match.group(2))
+        if denominator == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        value /= denominator
     return value
 
 

@@ -70,8 +70,9 @@ class TruncationPolicy:
     def starting_dim(self, pointer: PointerParams, strength: float) -> int:
         if self.initial_dim is not None:
             return min(self.initial_dim, HARD_DIM_CAP)
-        # Displaced support concentrates near (r + strength/2)^2 photons.
-        reach = (pointer.r + abs(strength) / 2.0 + 6.0) ** 2
+        # Displaced support concentrates near (r + strength/2)^2 photons;
+        # the root is clamped first so that no reach past the cap overflows.
+        reach = min(pointer.r + abs(strength) / 2.0 + 6.0, math.sqrt(HARD_DIM_CAP)) ** 2
         dim = max(64, math.ceil(reach))
         dim = ((dim + 31) // 32) * 32
         return min(dim, HARD_DIM_CAP)
@@ -180,13 +181,19 @@ def displacement_operator(mu: complex, n_max: int) -> FockOperator:
 
 
 def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, float]:
-    """Normalized pointer amplitudes and the exact mass lost to truncation."""
+    """Normalized pointer amplitudes and the exact mass lost to truncation.
+
+    A cutoff still inside the pointer's bulk (r^2 >= dim + 63) has no honest
+    tail bound: its tail is infinite and no amplitude is built.
+    """
     if dim < 2:
         raise ValueError("need at least two levels")
     v = np.zeros(dim, dtype=np.complex128)
     if pointer.r == 0.0:
         v[1] = 1.0  # adding a photon to vacuum gives the one-photon state
         return v, 0.0
+    if pointer.r * pointer.r / (dim + 63.0) >= 1.0:
+        return v, math.inf
     n = np.arange(1.0, dim)
     # amplitude(n) = gamma exp(-r^2/2) r^(n-1) sqrt(n) / sqrt((n-1)!)
     lgam = np.array([math.lgamma(k) for k in range(1, dim)])
@@ -208,6 +215,8 @@ def _spac_tail(pointer: PointerParams, dim: int) -> float:
 
     1 - norm_sq would be swamped by ~1e-14 summation roundoff, which no
     cutoff growth can shrink; the series terms themselves underflow cleanly.
+    The cutoff lies past the bulk (r^2 < dim + 63), so the geometric bound
+    on the remainder holds.
     """
     r_sq = pointer.r * pointer.r
     base = math.log(pointer.norm_factor_sq) - r_sq
@@ -218,8 +227,6 @@ def _spac_tail(pointer: PointerParams, dim: int) -> float:
         log_w = base + (k - 1.0) * log_r_sq + math.log(k) - math.lgamma(k + 1.0)
         total += math.exp(log_w)
     ratio = r_sq / (dim + 63.0)
-    if ratio >= 1.0:
-        return math.inf  # cutoff still inside the bulk; no honest bound yet
     return total + math.exp(log_w) * ratio / (1.0 - ratio)
 
 
@@ -387,12 +394,18 @@ class BranchBundle:
 def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
     """The bundle at one cutoff, or None at the first gate that rejects it.
 
-    Gates: the pointer tail, the pointer mass outside the displacement's
-    safe block, both branches' guard bands and, where the selection has a
-    weak value, the normalized kept combination's guard band.
+    Gates: the pointer tail, the displacement's reach against the cutoff,
+    the pointer mass outside the displacement's safe block, both branches'
+    guard bands and, where the selection has a weak value, the normalized
+    kept combination's guard band.
     """
     psi, tail = _spac_amplitudes(pointer, dim)
     if tail > TAIL_TOL:
+        return None
+    # |strength/2|^2 photons at or past the cutoff would cost column 0 of the
+    # displacement about half its mass, so its safe block would be empty.
+    half = coupling.strength / 2.0
+    if half * half >= dim:
         return None
     up, down, safe_dim = _displace(psi, coupling.strength)
     beyond = psi[safe_dim:]

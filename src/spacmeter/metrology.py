@@ -126,28 +126,14 @@ def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
     )
 
 
-def fisher_from_states(center, plus, minus, step: float) -> tuple[float, float]:
-    """Fisher information of a pure-state family from three normalized points.
+def fisher_from_states(center, near, step: float) -> float:
+    """Fidelity estimate of the Fisher information, 8 (1 - |<center|near>|) / step^2.
 
-    Global phases of the neighbors are gauged away against the center before
-    differencing, so the answer is invariant under any injected phase drift.
-    Returns the derivative-based value and the fidelity-based check
-    8 (1 - |<center|plus>|) / step^2.
+    center and near are normalized states a parameter step apart; the
+    estimate uses no derivative identity and no global phase.
     """
-    c = np.asarray(center, dtype=np.complex128)
-    aligned = []
-    for v in (plus, minus):
-        w = np.array(v, dtype=np.complex128, copy=True)
-        z = complex(np.vdot(c, w))
-        if z != 0.0:
-            w *= z.conjugate() / abs(z)
-        aligned.append(w)
-    p, m = aligned
-    d = (p - m) / (2.0 * step)
-    fisher = 4.0 * (float(np.vdot(d, d).real) - abs(complex(np.vdot(c, d))) ** 2)
-    overlap = abs(complex(np.vdot(c, p)))
-    fidelity_fisher = 8.0 * (1.0 - overlap) / (step * step)
-    return fisher, fidelity_fisher
+    overlap = abs(complex(np.vdot(center, near)))
+    return 8.0 * (1.0 - overlap) / (step * step)
 
 
 def qfi(

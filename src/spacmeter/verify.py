@@ -196,8 +196,7 @@ def _estimator_check() -> list[CheckResult]:
         center, fidelity = bundle.kept.state.amplitudes, []
         for eps in (step, step / 2.0):
             near, _ = fock.assemble_at_cutoff(bundle, strength + eps)
-            # the fidelity value reads only the first neighbour
-            fidelity.append(metrology.fisher_from_states(center, near, near, eps)[1])
+            fidelity.append(metrology.fisher_from_states(center, near, eps))
         exact = bundle.fisher()
         gap = abs(2.0 * fidelity[1] - fidelity[0] - exact)
         rows.append({"fisher fidelity estimator vs exact derivative":

@@ -1,6 +1,5 @@
 """Closed-form engine: kernels, shifts, limits, moment identities."""
 
-import cmath
 import math
 
 import pytest
@@ -27,64 +26,47 @@ thetas = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 class TestKernels:
     def test_frozen_values(self):
-        k = analytic.displaced_kernels(P1_PTR, -0.8)
-        assert k.overlap == pytest.approx(
-            -0.2507578057483425 + 0.626146939337592j, rel=1e-12
-        )
-        assert k.lowered_overlap == pytest.approx(
-            -1.2095925740238318 + 0.9648237067144996j, rel=1e-12
-        )
-        k = analytic.displaced_kernels(P1_PTR, 0.35 + 0.2j)
-        assert k.overlap == pytest.approx(
-            0.8919668736207318 - 0.007728057735968172j, rel=1e-10
-        )
-        assert k.lowered_overlap == pytest.approx(
-            1.9381535816900624 + 1.0970905824201471j, rel=1e-12
-        )
+        k0, k1, _, _ = analytic.real_axis_kernel(P1_PTR, -0.8)
+        assert k0 == pytest.approx(-0.2507578057483425 + 0.626146939337592j, rel=1e-12)
+        assert k1 == pytest.approx(-1.2095925740238318 + 0.9648237067144996j, rel=1e-12)
 
     def test_matches_bruteforce(self):
-        for mu in (0.6, -1.2, 0.35 + 0.2j, -0.4 - 0.9j):
-            k = analytic.displaced_kernels(P1_PTR, mu)
-            k0, k1 = bf.k0k1(P1_PTR.alpha, mu, n=160)
-            assert k.overlap == pytest.approx(complex(k0), abs=1e-12)
-            assert k.lowered_overlap == pytest.approx(complex(k1), abs=1e-12)
+        for nu in (0.6, -1.2, 2.5, -0.05):
+            k0, k1, _, _ = analytic.real_axis_kernel(P1_PTR, nu)
+            want0, want1 = bf.k0k1(P1_PTR.alpha, nu, n=160)
+            assert k0 == pytest.approx(complex(want0), abs=1e-12)
+            assert k1 == pytest.approx(complex(want1), abs=1e-12)
 
     def test_zero_shift_identities(self):
-        k = analytic.displaced_kernels(P1_PTR, 0.0)
-        assert k.overlap == pytest.approx(1.0, abs=1e-15)
-        assert k.lowered_overlap == pytest.approx(analytic.mean_lowering(P1_PTR), abs=1e-15)
+        k0, k1, _, _ = analytic.real_axis_kernel(P1_PTR, 0.0)
+        assert k0 == pytest.approx(1.0, abs=1e-15)
+        assert k1 == pytest.approx(analytic.mean_lowering(P1_PTR), abs=1e-15)
 
-    @given(re=st.floats(-2.5, 2.5), im=st.floats(-2.5, 2.5), r=radii, theta=thetas)
+    @given(nu=st.floats(-6.0, 6.0), r=radii, theta=thetas)
     @settings(max_examples=80)
-    def test_conjugation_and_bound(self, re, im, r, theta):
+    def test_conjugation_and_bound(self, nu, r, theta):
         ptr = PointerParams(r=r, theta=theta)
-        mu = complex(re, im)
-        k_fore = analytic.displaced_kernels(ptr, mu)
-        k_back = analytic.displaced_kernels(ptr, -mu)
-        assert k_fore.overlap.conjugate() == pytest.approx(k_back.overlap, abs=1e-12)
-        assert abs(k_fore.overlap) <= 1.0 + 1e-12
+        fore = analytic.real_axis_kernel(ptr, nu)[0]
+        back = analytic.real_axis_kernel(ptr, -nu)[0]
+        assert fore.conjugate() == pytest.approx(back, abs=1e-12)
+        assert abs(fore) <= 1.0 + 1e-12
 
     def test_vacuum_pointer_closed_form(self):
-        # at alpha = 0 and real shift: K0 = exp(-mu^2/2) (1 - mu^2)
+        # at alpha = 0: K0 = exp(-nu^2/2) (1 - nu^2)
         ptr = PointerParams(r=0.0)
-        for mu in (0.3, 1.0, 2.4):
-            k = analytic.displaced_kernels(ptr, mu)
-            assert k.overlap == pytest.approx(
-                math.exp(-mu * mu / 2.0) * (1.0 - mu * mu), abs=1e-14
-            )
+        for nu in (0.3, 1.0, 2.4):
+            k0 = analytic.real_axis_kernel(ptr, nu)[0]
+            assert k0 == pytest.approx(math.exp(-nu * nu / 2.0) * (1.0 - nu * nu), abs=1e-14)
 
     def test_flush_to_zero_far_out(self):
-        k = analytic.displaced_kernels(P1_PTR, 60.0)
-        assert k.overlap == 0j
-        assert k.lowered_overlap == 0j
-        assert analytic.transcribed_shift_kernel(P1_PTR, 60.0) == 0j
-        assert analytic.real_axis_kernel(P1_PTR, 60.0) == (0j, 0j, 0j)
+        for nu in (60.0, -60.0, 1e200):
+            assert analytic.real_axis_kernel(P1_PTR, nu) == (0j, 0j, 0j, 0j)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
     def test_slope_identities_at_zero(self, sigma):
         # K0'(0) = <G> = -2i Im<a> and -K0''(0) = <G^dagger G> = 4 sigma^2 <P^2>
         ptr = PointerParams(r=2.0, theta=math.pi / 6, sigma=sigma)
-        _, slope, curve = analytic.real_axis_kernel(ptr, 0.0)
+        _, _, slope, curve = analytic.real_axis_kernel(ptr, 0.0)
         v = bf.spac(ptr.alpha, 160)
         a = bf.ladder(160)
         gv = (a.conj().T - a) @ v
@@ -101,32 +83,10 @@ class TestKernels:
         a = bf.ladder(160)
         gen = a.conj().T - a
         for nu in (0.6, -1.2, 2.5):
-            k0, slope, curve = analytic.real_axis_kernel(P1_PTR, nu)
-            assert k0 == pytest.approx(analytic.displaced_kernels(P1_PTR, nu).overlap, abs=1e-14)
+            _, _, slope, curve = analytic.real_axis_kernel(P1_PTR, nu)
             dv = bf.dmat(nu, 160) @ v
             assert slope == pytest.approx(complex(v.conj() @ gen @ dv), abs=1e-12)
             assert curve == pytest.approx(complex(v.conj() @ gen @ gen @ dv), abs=1e-12)
-
-
-class TestTranscribedKernel:
-    def test_vacuum_value(self):
-        # alpha = 0, strength 1: bracket reduces to 3 G exp(-G^2/2)
-        ptr = PointerParams(r=0.0)
-        assert analytic.transcribed_shift_kernel(ptr, 1.0) == pytest.approx(
-            3.0 * math.exp(-0.5), abs=1e-15
-        )
-
-    @given(g=st.floats(0.05, 2.5), r=st.floats(0.0, 3.0), theta=thetas)
-    @settings(max_examples=60)
-    def test_defect_is_exactly_cubic(self, g, r, theta):
-        # kernel-true combination differs from the transcription by the
-        # G^3 term under the shared Gaussian-phase envelope
-        ptr = PointerParams(r=r, theta=theta)
-        k = analytic.displaced_kernels(ptr, g)
-        true_sum = 2.0 * (k.lowered_overlap + 0.5 * g * k.overlap) / ptr.norm_factor_sq
-        envelope = cmath.exp(-2.0j * g * ptr.alpha.imag) * math.exp(-g * g / 2.0)
-        transcribed = analytic.transcribed_shift_kernel(ptr, g)
-        assert true_sum == pytest.approx(transcribed - g**3 * envelope, abs=1e-9)
 
 
 class TestShifts:
@@ -196,8 +156,8 @@ class TestShifts:
         cpl_a = Coupling(strength=g)
         cpl_b = Coupling(strength=g + 1e-7)
         gap = abs(
-            analytic.inverse_norm_sq(sel, ptr, cpl_a)
-            - analytic.inverse_norm_sq(sel, ptr, cpl_b)
+            analytic.pointer_shifts(sel, ptr, cpl_a).inverse_norm_sq
+            - analytic.pointer_shifts(sel, ptr, cpl_b).inverse_norm_sq
         )
         assert gap <= 1e-4
 
@@ -215,6 +175,18 @@ class TestShifts:
                 assert res.inverse_norm_sq == pytest.approx(
                     1.0 + abs(weak_value(sel)) ** 2, abs=1e-10
                 )
+
+
+    def test_huge_strength_is_finite(self):
+        # the kernels are flushed at -strength and +strength, so the branch sum
+        # keeps only its diagonal terms and every read stays finite
+        cpl = Coupling(strength=1e200)
+        res = analytic.pointer_shifts(P1_SEL, P1_PTR, cpl)
+        assert math.isfinite(res.position_shift) and math.isfinite(res.momentum_shift)
+        assert res.inverse_norm_sq == 1.0 + abs(weak_value(P1_SEL)) ** 2
+        target = math.sin(P1_SEL.phi) * math.cos(P1_SEL.delta)
+        assert analytic.transition_value(P1_SEL, P1_PTR, cpl) == pytest.approx(target, rel=1e-12)
+        assert math.isfinite(analytic.fisher_information(P1_SEL, P1_PTR, cpl))
 
 
 class TestMoments:

@@ -1,10 +1,13 @@
 """Transcription audit records and the self-check runner."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spacmeter import audit, verify
+from spacmeter import analytic, audit, verify
 from spacmeter.model import Coupling, PointerParams, SelectionParams
 
 P1_SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
@@ -33,6 +36,31 @@ class TestTranscribedForms:
         assert second_difference == pytest.approx(0.0, abs=1e-9)
         slope = (values[24.0] - values[16.0]) / 8.0
         assert slope == pytest.approx(math.sin(P1_SEL.phi) * math.cos(P1_SEL.delta), abs=1e-9)
+
+
+class TestTranscribedKernel:
+    def test_flush_to_zero_far_out(self):
+        assert audit.transcribed_shift_kernel(P1_PTR, 60.0) == 0j
+        assert audit.transcribed_shift_kernel(P1_PTR, -1e200) == 0j
+
+    def test_vacuum_value(self):
+        # alpha = 0, strength 1: bracket reduces to 3 G exp(-G^2/2)
+        ptr = PointerParams(r=0.0)
+        assert audit.transcribed_shift_kernel(ptr, 1.0) == pytest.approx(
+            3.0 * math.exp(-0.5), abs=1e-15
+        )
+
+    @given(g=st.floats(0.05, 2.5), r=st.floats(0.0, 3.0), theta=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=60)
+    def test_defect_is_exactly_cubic(self, g, r, theta):
+        # kernel-true combination differs from the transcription by the
+        # G^3 term under the shared Gaussian-phase envelope
+        ptr = PointerParams(r=r, theta=theta)
+        k0, k1, _, _ = analytic.real_axis_kernel(ptr, g)
+        true_sum = 2.0 * (k1 + 0.5 * g * k0) / ptr.norm_factor_sq
+        envelope = cmath.exp(-2.0j * g * ptr.alpha.imag) * math.exp(-g * g / 2.0)
+        transcribed = audit.transcribed_shift_kernel(ptr, g)
+        assert true_sum == pytest.approx(transcribed - g**3 * envelope, abs=1e-9)
 
 
 class TestAuditRun:

@@ -157,19 +157,24 @@ class TestTruncationPolicy:
     def test_cap_reported_when_unreachable(self, monkeypatch):
         # At r = 70 the pointer's bulk (about r^2 = 4900 photons) lies past
         # HARD_DIM_CAP, so the pointer tail rejects the capped first rung
-        # before any displacement matrix is built: a typed error in bounded
-        # memory.
+        # before any amplitude or displacement matrix is built; a reach of
+        # (strength/2)^2 photons past the cap rejects it before the
+        # displacement.  Either way: a typed error in bounded memory.
         built = []
         monkeypatch.setattr(fock, "_displacement", lambda *key: built.append(key))
-        ptr, cpl = PointerParams(r=70.0), Coupling(strength=0.9)
-        for call in (
-            lambda: fock.spac_state(ptr),
-            lambda: fock.branch_bundle(P1_SEL, ptr, cpl),
-            lambda: metrology.snr(P1_SEL, ptr, cpl),
-            lambda: metrology.qfi(P1_SEL, ptr, cpl),
-        ):
-            with pytest.raises(fock.TruncationInsufficient):
-                call()
+        for r, strength in ((70.0, 0.9), (1e200, 0.9), (2.0, 1e200)):
+            ptr, cpl = PointerParams(r=r), Coupling(strength=strength)
+            assert fock.TruncationPolicy().starting_dim(ptr, strength) == fock.HARD_DIM_CAP
+            calls = [
+                lambda: fock.branch_bundle(P1_SEL, ptr, cpl),
+                lambda: metrology.snr(P1_SEL, ptr, cpl),
+                lambda: metrology.qfi(P1_SEL, ptr, cpl),
+            ]
+            if r > 21.0:
+                calls.append(lambda: fock.spac_state(ptr))
+            for call in calls:
+                with pytest.raises(fock.TruncationInsufficient):
+                    call()
         assert built == []
 
 
@@ -185,7 +190,7 @@ class TestAssembly:
         # norm factor; this is the primary cross-engine handshake
         for sel, g in ((P1_SEL, 0.9), (P2_SEL, 1.0), (P1_SEL, 0.05)):
             out = fock.assemble_final_state(sel, P1_PTR, Coupling(strength=g))
-            want = analytic.inverse_norm_sq(sel, P1_PTR, Coupling(strength=g))
+            want = analytic.pointer_shifts(sel, P1_PTR, Coupling(strength=g)).inverse_norm_sq
             assert out.norm_sq == pytest.approx(2.0 * want, rel=1e-12)
 
     def test_frozen_success_probability(self):

@@ -99,33 +99,17 @@ class TestSnr:
 
 
 class TestFisherFromStates:
-    def _states(self, eps):
-        bundle = fock.branch_bundle(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
-        plus, _ = fock.assemble_at_cutoff(bundle, 1.0 + eps)
-        minus, _ = fock.assemble_at_cutoff(bundle, 1.0 - eps)
-        return bundle.kept.state.amplitudes, plus, minus
-
     def test_gauge_invariance_under_phase_drift(self):
         eps = 1e-4
-        center, plus, minus = self._states(eps)
-        bare, _ = metrology.fisher_from_states(center, plus, minus, eps)
-        spun, _ = metrology.fisher_from_states(
-            center,
-            plus * np.exp(0.3j),
-            minus * np.exp(-0.7j),
-            eps,
-        )
-        assert spun == pytest.approx(bare, rel=1e-12)
-
-    def test_two_estimators_agree_after_bias_removal(self):
-        # the raw fidelity form carries a linear-in-step bias; compare the
-        # derivative value against its Richardson-combined counterpart
-        center, plus, minus = self._states(1e-4)
-        fisher, fid_full = metrology.fisher_from_states(center, plus, minus, 1e-4)
-        _, _, half = self._states(5e-5)
-        del half
-        assert fisher > 0.0
-        assert fid_full == pytest.approx(fisher, rel=5e-3)
+        bundle = fock.branch_bundle(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
+        center = bundle.kept.state.amplitudes
+        near, _ = fock.assemble_at_cutoff(bundle, 1.0 + eps)
+        bare = metrology.fisher_from_states(center, near, eps)
+        spun = metrology.fisher_from_states(center * np.exp(-0.7j), near * np.exp(0.3j), eps)
+        assert bare > 0.0
+        # the phases move only the overlap's ~1e-16 roundoff, which the
+        # 1 / eps^2 scale turns into ~1e-8 of the value
+        assert spun == pytest.approx(bare, rel=1e-6)
 
 
 class TestQfi:

@@ -31,7 +31,7 @@ class TestParseNumber:
     def test_accepted_forms(self, text, value):
         assert cli.parse_number(text) == pytest.approx(value, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["abc", "pi/", "2pi3", "", "pi/pi"])
+    @pytest.mark.parametrize("text", ["abc", "pi/", "2pi3", "", "pi/pi", "pi/0"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             cli.parse_number(text)
@@ -383,6 +383,15 @@ class TestCommandLine:
         code = cli.main(["sweep", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_denominator_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transition", "--phi", "pi/0"])
+        assert exc.value.code == 2
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[sweep]\nphi = pi/0\n")
+        assert cli.main(["sweep", "--config", str(ini)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_argparse_rejections_exit_two(self):
         with pytest.raises(SystemExit) as exc:
