@@ -17,6 +17,14 @@ BranchBundle holds the pointer and both displaced branches at that cutoff;
 the kept state, the transition value, the keep-everything moments, the
 shifts and the Fisher information in the strength are all reads of it.
 `spac_state` alone keeps a pointer-only ladder.
+
+Everything a rung computes before the kept-combination gate (the pointer,
+both displaced branches and their gates) does not depend on the selection,
+so it is cached per (pointer, strength, cutoff) in a small LRU of read-only
+vectors; the selections of one sweep point, and the snr, qfi and
+transition_moment calls at one point, share it.  Under it, a two-entry LRU
+keeps dense displacement matrices keyed on (strength/2, cutoff): neighbouring
+radii of an r-axis sweep are new pointers but mostly share a cutoff.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ SAFE_COLUMN_LOSS = 1e-12
 TAIL_TOL = 1e-14
 GUARD_BAND = 8
 HARD_DIM_CAP = 4096
+
+# Entries of the rung cache (_branches).  Each holds at most three vectors of
+# HARD_DIM_CAP complex amplitudes, so the cache stays under 1.6 MB.
+RUNG_CACHE_SIZE = 8
 
 
 class TruncationInsufficient(RuntimeError):
@@ -117,6 +129,14 @@ class AssembledState:
     success_probability: float    # exact strength-dependent keep probability
 
 
+@lru_cache(maxsize=32)
+def _log_factorials(size: int) -> np.ndarray:
+    """log(k!) for k = 0 .. size - 1, read-only and shared by the builds at one size."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _build_displacement(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense D(mu) and each column's mass past the cutoff.
 
@@ -139,8 +159,7 @@ def _build_displacement(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
         return out, loss
     x = abs(mu) ** 2
     offsets = np.arange(dim, dtype=np.float64)
-    lgam = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    t_curr = np.exp(-0.5 * x + offsets * math.log(abs(mu)) - 0.5 * lgam)
+    t_curr = np.exp(-0.5 * x + offsets * math.log(abs(mu)) - 0.5 * _log_factorials(dim))
     t_prev = np.zeros(dim)
     arg = cmath.phase(mu)
     down = np.exp(1j * offsets * arg)
@@ -162,7 +181,11 @@ def _build_displacement(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return out, loss
 
 
-@lru_cache(maxsize=8)
+# Along an r axis each point is a new pointer, so its rung misses the rung
+# cache, but neighbouring radii mostly share a cutoff and so a matrix.  On the
+# fig3b and fig5 presets and the full verify grid, two entries build no more
+# matrices than eight; along a strength axis no matrix is reused.
+@lru_cache(maxsize=2)
 def _displacement(mu: complex, dim: int) -> tuple[np.ndarray, int]:
     """Cached displacement matrix and the size of its safe subspace."""
     matrix, loss = _build_displacement(mu, dim)
@@ -196,13 +219,12 @@ def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, floa
         return v, math.inf
     n = np.arange(1.0, dim)
     # amplitude(n) = gamma exp(-r^2/2) r^(n-1) sqrt(n) / sqrt((n-1)!)
-    lgam = np.array([math.lgamma(k) for k in range(1, dim)])
     log_mag = (
         0.5 * math.log(pointer.norm_factor_sq)
         - 0.5 * pointer.r * pointer.r
         + (n - 1.0) * math.log(pointer.r)
         + 0.5 * np.log(n)
-        - 0.5 * lgam
+        - 0.5 * _log_factorials(dim)[:-1]
     )
     v[1:] = np.exp(log_mag) * np.exp(1j * (n - 1.0) * pointer.theta)
     norm_sq = float(np.vdot(v, v).real)
@@ -391,28 +413,45 @@ class BranchBundle:
         return self.unconditioned.position_mean - self.base.position_mean
 
 
-def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
-    """The bundle at one cutoff, or None at the first gate that rejects it.
+@lru_cache(maxsize=RUNG_CACHE_SIZE)
+def _branches(pointer: PointerParams, strength: float, dim: int):
+    """The selection-independent half of a rung, cached per (pointer, strength, cutoff).
 
-    Gates: the pointer tail, the displacement's reach against the cutoff,
-    the pointer mass outside the displacement's safe block, both branches'
-    guard bands and, where the selection has a weak value, the normalized
-    kept combination's guard band.
+    Returns (psi, tail, up, down) with read-only vectors, or None at the
+    first gate that rejects the cutoff: the pointer tail, the
+    displacement's reach against the cutoff, the pointer mass outside the
+    displacement's safe block and both branches' guard bands.  None is
+    cached too, so the selections of one sweep point share every rung.
     """
     psi, tail = _spac_amplitudes(pointer, dim)
     if tail > TAIL_TOL:
         return None
     # |strength/2|^2 photons at or past the cutoff would cost column 0 of the
     # displacement about half its mass, so its safe block would be empty.
-    half = coupling.strength / 2.0
+    half = strength / 2.0
     if half * half >= dim:
         return None
-    up, down, safe_dim = _displace(psi, coupling.strength)
+    up, down, safe_dim = _displace(psi, strength)
     beyond = psi[safe_dim:]
     if float(np.vdot(beyond, beyond).real) > TAIL_TOL:
         return None
     if _band_mass(up) > TAIL_TOL or _band_mass(down) > TAIL_TOL:
         return None
+    for v in (psi, up, down):
+        v.flags.writeable = False
+    return psi, tail, up, down
+
+
+def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
+    """The bundle at one cutoff, or None at the first gate that rejects it.
+
+    The selection-independent gates run in _branches; after them, where the
+    selection has a weak value, the normalized kept combination's guard band.
+    """
+    found = _branches(pointer, coupling.strength, dim)
+    if found is None:
+        return None
+    psi, tail, up, down = found
     kept = None
     if weak is not None:
         combo, norm_sq = _kept_combination(weak, up, down)

@@ -2,12 +2,14 @@
 
 A sweep varies one axis parameter over a linear range, optionally crossed
 with a family of values for a second parameter (one curve per family value).
-Every grid point is evaluated independently, in grid order, and becomes one
-CSV row holding the requested quantities from both engines plus their
-residual, the truncation certificate (cutoff and tail mass), and an error
-flag.  A row's oracle values, chi and Fisher information all read one
-certified branch bundle, so its cutoff ladder runs once.  Floats are written
-via repr, so identical configs produce byte-identical files.
+Every grid point is evaluated independently and becomes one CSV row holding
+the requested quantities from both engines plus their residual, the
+truncation certificate (cutoff and tail mass), and an error flag.  Rows are
+emitted in grid order; points that share a pointer and a strength are
+evaluated back to back, so that they share fock's cached rungs.  A row's
+oracle values, chi and Fisher information all read one certified branch
+bundle, so its cutoff ladder runs once.  Floats are written via repr, so
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -195,7 +197,17 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
                 point[spec.family] = fam_val
             point[spec.axis] = axis_val
             jobs.append(point)
-    return spec.header(), [_evaluate(spec, i, params) for i, params in enumerate(jobs)]
+    # Rows that share a pointer and a strength share fock's cached rungs, so
+    # they run back to back: a strength axis would otherwise put a whole
+    # family's worth of strengths between two reads of one rung.
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(jobs):
+        groups.setdefault((p["r"], p["theta"], p["sigma"], p["strength"]), []).append(i)
+    rows: list[dict[str, str]] = [{}] * len(jobs)
+    for members in groups.values():
+        for i in members:
+            rows[i] = _evaluate(spec, i, jobs[i])
+    return spec.header(), rows
 
 
 def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:

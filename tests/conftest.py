@@ -1,4 +1,8 @@
-"""Shared test plumbing: the acceptance-criteria summary section.
+"""Shared test plumbing: cold caches and the acceptance-criteria summary.
+
+Every test starts with `fock`'s rung and displacement caches empty, so a
+test that counts pointer builds or displacements does not depend on what ran
+before it.
 
 The acceptance module appends one line per criterion to the session log;
 the terminal-summary hook prints them as a block after the test run so the
@@ -7,7 +11,15 @@ pass/fail state of every criterion is readable at a glance.
 
 import pytest
 
+from spacmeter import fock
+
 _ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    fock._branches.cache_clear()
+    fock._displacement.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from spacmeter import cli, sweep, svg, verify
+from spacmeter import cli, fock, sweep, svg, verify
 
 
 class TestParseNumber:
@@ -108,6 +108,32 @@ class TestRunSweep:
         assert phis[3:] == [repr(math.pi / 3)] * 3
         strengths = [float(row["strength[1]"]) for row in rows[:3]]
         assert strengths == [0.2, 0.4, 0.6]
+
+    def test_grouped_rows_equal_cold_rows_in_grid_order(self):
+        # rows sharing a pointer and a strength run back to back and share
+        # fock's cached rungs; the flagged phi = pi family must not change
+        # what the other selections read from them
+        spec = sweep.SweepSpec(
+            axis="strength",
+            start=0.2,
+            stop=1.0,
+            count=3,
+            family="phi",
+            family_values=(math.pi / 6, math.pi, math.pi / 3),
+            outputs=("dx", "transition", "qfi", "crb"),
+        )
+        _, rows = sweep.run_sweep(spec)
+        fixed = {"phi": spec.phi, "delta": spec.delta, "r": spec.r,
+                 "theta": spec.theta, "sigma": spec.sigma}
+        cold = []
+        for phi in spec.family_values:
+            for strength in spec.axis_values():
+                fock._branches.cache_clear()
+                params = dict(fixed, phi=phi, strength=strength)
+                cold.append(sweep._evaluate(spec, len(cold), params))
+        assert rows == cold
+        assert [row["flag"] for row in rows[3:6]] == ["OrthogonalSelection"] * 3
+        assert all(row["flag"] == "" for row in rows[:3] + rows[6:])
 
     def test_orthogonal_endpoint_is_flagged_not_fatal(self):
         spec = sweep.SweepSpec(
