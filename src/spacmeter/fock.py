@@ -1,11 +1,11 @@
 """Truncated number-basis engine: the matrix oracle for the pointer readout.
 
 Everything here is basis-exact linear algebra on explicit vectors: the
-pointer state is written out in the number basis, displacement operators are
-dense matrices built from a stable scaled-Laguerre recurrence, and all
-expectation values come from tridiagonal ladder action.  By design this
-module imports nothing from the closed-form engine, so agreement between the
-two is meaningful evidence rather than circular bookkeeping.
+pointer state is written out in the number basis, displacements come from a
+stable scaled-Laguerre recurrence, and all expectation values come from
+tridiagonal ladder action.  By design this module imports nothing from the
+closed-form engine, so agreement between the two is meaningful evidence
+rather than circular bookkeeping.
 
 Truncation is certified, not assumed.  One cutoff ladder per parameter point
 (`branch_bundle`) grows the cutoff until the pointer tail, the pointer mass
@@ -18,19 +18,29 @@ the kept state, the transition value, the keep-everything moments, the
 shifts and the Fisher information in the strength are all reads of it.
 `spac_state` alone keeps a pointer-only ladder.
 
+The strength is real, so every displacement is D(+-|mu|) with real
+entries.  One recurrence pass (`_tables`) computes them for a batch of |mu|
+at one cutoff as real tables, one contiguous row per step, and two real
+matrix products apply a table to a pointer state for both signs.
 Everything a rung computes before the kept-combination gate (the pointer,
 both displaced branches and their gates) does not depend on the selection,
-so it is cached per (pointer, strength, cutoff) in a small LRU of read-only
-vectors; the selections of one sweep point, and the snr, qfi and
-transition_moment calls at one point, share it.  Under it, a two-entry LRU
-keeps dense displacement matrices keyed on (strength/2, cutoff): neighbouring
-radii of an r-axis sweep are new pointers but mostly share a cutoff.
+so it is cached per (pointer, strength, cutoff) in a byte-bounded LRU of
+read-only vectors; the selections of one sweep point, and the snr, qfi and
+transition_moment calls at one point, share it.  `warm` fills that cache
+for a slab of (pointer, strength) keys at once, ordered by cutoff and
+strength, so each distinct table is built once per slab, batched with the
+slab's other strengths at its cutoff, and applied to every pointer that
+needs it.  A single cold rung is a slab of one through the same code, so a
+warmed rung and a cold one are bit for bit the same.  `displacement_operator`
+assembles the dense complex matrix from a table, for verify and the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -56,9 +66,16 @@ TAIL_TOL = 1e-14
 GUARD_BAND = 8
 HARD_DIM_CAP = 4096
 
-# Entries of the rung cache (_branches).  Each holds at most three vectors of
-# HARD_DIM_CAP complex amplitudes, so the cache stays under 1.6 MB.
-RUNG_CACHE_SIZE = 8
+# The rung cache (_branches) holds at most this many bytes: each entry's
+# vectors plus _ENTRY_OVERHEAD for its key and tuple, so that rejected rungs
+# (cached as None) count too.  warm fills at most half of it.
+RUNG_CACHE_BYTES = 16 << 20
+_ENTRY_OVERHEAD = 1024
+
+# One recurrence pass (_tables) computes at most this many bytes of tables; a
+# batch of strengths at one cutoff is split into chunks this size, and a
+# single table larger than it is a chunk of its own.
+TABLE_CHUNK_BYTES = 1 << 20
 
 
 class TruncationInsufficient(RuntimeError):
@@ -82,12 +99,17 @@ class TruncationPolicy:
     def starting_dim(self, pointer: PointerParams, strength: float) -> int:
         if self.initial_dim is not None:
             return min(self.initial_dim, HARD_DIM_CAP)
-        # Displaced support concentrates near (r + strength/2)^2 photons;
-        # the root is clamped first so that no reach past the cap overflows.
-        reach = min(pointer.r + abs(strength) / 2.0 + 6.0, math.sqrt(HARD_DIM_CAP)) ** 2
-        dim = max(64, math.ceil(reach))
-        dim = ((dim + 31) // 32) * 32
-        return min(dim, HARD_DIM_CAP)
+        return _first_cutoff(pointer, strength)
+
+
+def _first_cutoff(pointer: PointerParams, strength: float) -> int:
+    """The ladder's default starting cutoff, from the pointer amplitude and the displacement reach."""
+    # Displaced support concentrates near (r + strength/2)^2 photons;
+    # the root is clamped first so that no reach past the cap overflows.
+    reach = min(pointer.r + abs(strength) / 2.0 + 6.0, math.sqrt(HARD_DIM_CAP)) ** 2
+    dim = max(64, math.ceil(reach))
+    dim = ((dim + 31) // 32) * 32
+    return min(dim, HARD_DIM_CAP)
 
 
 @dataclass(frozen=True)
@@ -137,70 +159,110 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def _build_displacement(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense D(mu) and each column's mass past the cutoff.
+def _tables(halves, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement tables for a batch of |mu| at one cutoff, and each column's loss.
 
-    The scaled associated-Laguerre recurrence runs directly on the entries
+    One pass of the scaled associated-Laguerre recurrence runs on the entries
         t_n(d) = sqrt(n! / (n+d)!) |mu|^d exp(-|mu|^2/2) L_n^(d)(|mu|^2),
     all bounded by 1, so it stays stable far past the cutoff where the bare
-    prefactor-times-polynomial form overflows.  At step n the recurrence
-    also holds column n's rows dim .. n+dim-1, past the cutoff; their squared
-    sum is the column's truncation loss.  Rows from n+dim on are never
-    computed.  They carry mass only once |mu|^2 nears dim, and then column 0
-    already closes the safe block: its entries are the directly evaluated
-    starting values, so its norm deficit is its loss to full precision.
-    Later columns' norm deficits are not used, because recurrence roundoff
-    makes them drift upward with the column index whatever the cutoff.
+    prefactor-times-polynomial form overflows.  Table b holds t_n(d) of the
+    b-th |mu| at row n, column n+d, so each step writes one contiguous row
+    and the table is zero below the diagonal; _apply reads D(|mu|) off it.
+    The batch runs elementwise side by side, so each table and loss row is
+    bit for bit the one a batch of one gives.
+
+    At step n the recurrence also holds column n's rows dim .. n+dim-1, past
+    the cutoff; their squared sum is the column's truncation loss.  Rows
+    from n+dim on are never computed.  They carry mass only once |mu|^2
+    nears dim, and then column 0 already closes the safe block: its entries
+    are the directly evaluated starting values, so its norm deficit is its
+    loss to full precision.  Later columns' norm deficits are not used,
+    because recurrence roundoff makes them drift upward with the column
+    index whatever the cutoff.
     """
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    loss = np.zeros(dim)
-    if mu == 0:
-        np.fill_diagonal(out, 1.0)
-        return out, loss
-    x = abs(mu) ** 2
+    batch = len(halves)
+    tables = np.zeros((batch, dim, dim))
+    loss = np.empty((batch, dim))
+    x = np.array([h ** 2 for h in halves])[:, None]
     offsets = np.arange(dim, dtype=np.float64)
-    t_curr = np.exp(-0.5 * x + offsets * math.log(abs(mu)) - 0.5 * _log_factorials(dim))
-    t_prev = np.zeros(dim)
-    arg = cmath.phase(mu)
-    down = np.exp(1j * offsets * arg)
-    up = np.exp(-1j * offsets * arg)
-    up[1::2] *= -1.0  # (-mu*)^d alternation for the upper triangle
-    out[:, 0] = t_curr * down
-    out[0, :] = t_curr * up
-    loss[0] = 1.0 - np.dot(t_curr, t_curr)
-    root_prev = np.zeros(dim)  # sqrt((n-1) (n-1+d)), carried from the last step
+    t_curr = np.zeros((batch, dim))
+    for row, h, x_b in zip(t_curr, halves, x[:, 0]):
+        if h == 0.0:
+            row[0] = 1.0  # D(0) is the identity, and the recurrence keeps it exact
+        else:
+            row[:] = np.exp(-0.5 * x_b + offsets * math.log(h) - 0.5 * _log_factorials(dim))
+    tables[:, 0, :] = t_curr
+    loss[:, 0] = 1.0 - np.einsum("bd,bd->b", t_curr, t_curr)
+    # n + d and 2n - 1 + d for every step are windows of one integer ramp
+    ramp = np.arange(3.0 * dim)
+    t_prev, coef = np.zeros((batch, dim)), np.empty((batch, dim))
+    root_prev, root = np.zeros(dim), np.empty(dim)  # sqrt(n (n + d)) at the last and this step
     for n in range(1, dim):
-        root = np.sqrt(n * (n + offsets))
-        t_next = ((2.0 * n - 1.0 + offsets - x) * t_curr - root_prev * t_prev) / root
-        t_prev, t_curr, root_prev = t_curr, t_next, root
+        np.sqrt(np.multiply(ramp[n : n + dim], n, out=root), out=root)
+        np.subtract(ramp[2 * n - 1 : 2 * n - 1 + dim], x, out=coef)
+        coef *= t_curr
+        t_prev *= root_prev
+        np.subtract(coef, t_prev, out=t_prev)
+        t_prev /= root
+        t_prev, t_curr = t_curr, t_prev
+        root_prev, root = root, root_prev
         keep = dim - n
-        out[n:, n] = t_curr[:keep] * down[:keep]
-        out[n, n:] = t_curr[:keep] * up[:keep]
-        past = t_curr[keep:]
-        loss[n] = np.dot(past, past)
-    return out, loss
+        tables[:, n, n:] = t_curr[:, :keep]
+        past = t_curr[:, keep:]
+        loss[:, n] = np.einsum("bd,bd->b", past, past)
+    return tables, loss
 
 
-# Along an r axis each point is a new pointer, so its rung misses the rung
-# cache, but neighbouring radii mostly share a cutoff and so a matrix.  On the
-# fig3b and fig5 presets and the full verify grid, two entries build no more
-# matrices than eight; along a strength axis no matrix is reused.
-@lru_cache(maxsize=2)
-def _displacement(mu: complex, dim: int) -> tuple[np.ndarray, int]:
-    """Cached displacement matrix and the size of its safe subspace."""
-    matrix, loss = _build_displacement(mu, dim)
+def _safe_dim(loss: np.ndarray) -> int:
+    """Columns before the first whose loss past the cutoff exceeds SAFE_COLUMN_LOSS."""
     over = loss > SAFE_COLUMN_LOSS
-    safe_dim = dim if not over.any() else int(np.argmax(over))
-    matrix.flags.writeable = False
-    return matrix, safe_dim
+    return len(loss) if not over.any() else int(np.argmax(over))
+
+
+@lru_cache(maxsize=32)
+def _parity(size: int) -> np.ndarray:
+    """(-1)^m for m = 0 .. size - 1, read-only and shared by the products at one size."""
+    signs = np.ones(size)
+    signs[1::2] = -1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def _apply(table: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(|mu|) psi and D(-|mu|) psi = D(|mu|)^T psi from one table.
+
+    With T the table and Z = diag((-1)^m), D(|mu|) = T^T + Z T Z - diag(T): T^T
+    is its lower triangle and the upper one carries the (-1)^d of (-mu*)^d.  So
+    both vectors come from two real products, T^T and T against the real and
+    imaginary parts of psi and of Z psi.
+    """
+    z = _parity(len(psi))
+    parts = np.empty((4, len(psi)))
+    parts[0], parts[1] = psi.real, psi.imag
+    np.multiply(parts[:2], z, out=parts[2:])
+    along, against = parts @ table, parts @ table.T  # rows: T^T x and T x for each part
+    on_diag = parts[:2] * np.diagonal(table)
+    up = along[:2] + z * against[2:] - on_diag
+    down = against[:2] + z * along[2:] - on_diag
+    return up[0] + 1j * up[1], down[0] + 1j * down[1]
 
 
 def displacement_operator(mu: complex, n_max: int) -> FockOperator:
-    """Displacement matrix in the number basis, with safe-subspace size."""
+    """Dense displacement matrix in the number basis, with safe-subspace size.
+
+    D(mu) = R D(|mu|) R^dagger with R = diag(exp(i m arg mu)), D(|mu|) read off
+    the recurrence table of a batch of one.
+    """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
-    matrix, safe_dim = _displacement(complex(mu), int(n_max))
-    return FockOperator(matrix=matrix, safe_dim=safe_dim)
+    mu, dim = complex(mu), int(n_max)
+    tables, loss = _tables([abs(mu)], dim)
+    table, z = tables[0], _parity(dim)
+    real = table.T + z[:, None] * table * z - np.diag(np.diagonal(table))
+    phase = np.exp(1j * cmath.phase(mu) * np.arange(dim))
+    matrix = phase[:, None] * real * phase.conj()
+    matrix.flags.writeable = False
+    return FockOperator(matrix=matrix, safe_dim=_safe_dim(loss[0]))
 
 
 def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, float]:
@@ -268,14 +330,6 @@ def _cutoffs(pointer: PointerParams, strength: float, policy: TruncationPolicy):
 def _band_mass(v: np.ndarray) -> float:
     seg = v[-GUARD_BAND:]
     return float(np.vdot(seg, seg).real)
-
-
-def _displace(psi: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """D(+strength/2) psi, D(-strength/2) psi and the safe-block size at psi's cutoff."""
-    matrix, safe_dim = _displacement(complex(strength / 2.0), len(psi))
-    # D(-mu) psi = D(mu)^dagger psi, formed as (psi^dagger D)^* so that the
-    # dense matrix is never copied into its adjoint
-    return matrix @ psi, (psi.conj() @ matrix).conj(), safe_dim
 
 
 def _kept_combination(weak: complex, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float]:
@@ -413,33 +467,144 @@ class BranchBundle:
         return self.unconditioned.position_mean - self.base.position_mean
 
 
-@lru_cache(maxsize=RUNG_CACHE_SIZE)
-def _branches(pointer: PointerParams, strength: float, dim: int):
-    """The selection-independent half of a rung, cached per (pointer, strength, cutoff).
+_MISS = object()
 
-    Returns (psi, tail, up, down) with read-only vectors, or None at the
-    first gate that rejects the cutoff: the pointer tail, the
-    displacement's reach against the cutoff, the pointer mass outside the
-    displacement's safe block and both branches' guard bands.  None is
-    cached too, so the selections of one sweep point share every rung.
-    """
-    psi, tail = _spac_amplitudes(pointer, dim)
-    if tail > TAIL_TOL:
-        return None
-    # |strength/2|^2 photons at or past the cutoff would cost column 0 of the
-    # displacement about half its mass, so its safe block would be empty.
-    half = strength / 2.0
-    if half * half >= dim:
-        return None
-    up, down, safe_dim = _displace(psi, strength)
+
+class _RungCache:
+    """Least-recently-used rungs keyed on (pointer, strength, cutoff), bounded in bytes."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.used = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The entry under key, freshened, or _MISS."""
+        with self._lock:
+            if key not in self._entries:
+                return _MISS
+            self._entries.move_to_end(key)
+            return self._entries[key]
+
+    def put(self, key, entry) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = entry
+            self.used += _entry_bytes(entry)
+            while self.used > self.limit:
+                _, old = self._entries.popitem(last=False)
+                self.used -= _entry_bytes(old)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.used = 0
+
+
+def _entry_bytes(entry) -> int:
+    return _ENTRY_OVERHEAD + (0 if entry is None else sum(v.nbytes for v in entry if isinstance(v, np.ndarray)))
+
+
+_RUNGS = _RungCache(RUNG_CACHE_BYTES)
+
+
+def _displaced(psi, tail, table, safe_dim):
+    """A rung's entry from its pointer and its displacement table, or None at a gate."""
     beyond = psi[safe_dim:]
     if float(np.vdot(beyond, beyond).real) > TAIL_TOL:
         return None
+    up, down = _apply(table, psi)
     if _band_mass(up) > TAIL_TOL or _band_mass(down) > TAIL_TOL:
         return None
     for v in (psi, up, down):
         v.flags.writeable = False
     return psi, tail, up, down
+
+
+def _fill(rungs) -> dict:
+    """Entries for (pointer, strength, cutoff) keys, computing the uncached ones as one slab.
+
+    An entry is (psi, tail, up, down) with read-only vectors, or None at the
+    first gate that rejects the cutoff: the pointer tail, the
+    displacement's reach against the cutoff, the pointer mass outside the
+    displacement's safe block and both branches' guard bands.  The
+    displacements go by cutoff and then by strength/2 (nonnegative, as
+    Coupling guarantees): each distinct table is built once, in chunks of at
+    most TABLE_CHUNK_BYTES, and applied to every pointer at its cutoff.  New
+    entries are cached in the order of rungs.
+    """
+    order = list(dict.fromkeys(rungs))
+    found, pointers, pending = {}, {}, {}
+    for key in order:
+        cached = _RUNGS.get(key)
+        if cached is not _MISS:
+            found[key] = cached
+            continue
+        pointer, strength, dim = key
+        if (pointer, dim) not in pointers:
+            pointers[pointer, dim] = _spac_amplitudes(pointer, dim)
+        tail = pointers[pointer, dim][1]
+        half = strength / 2.0
+        # |strength/2|^2 photons at or past the cutoff would cost column 0 of
+        # the displacement about half its mass, so its safe block would be empty.
+        if tail > TAIL_TOL or half * half >= dim:
+            found[key] = None
+        else:
+            pending.setdefault(dim, {}).setdefault(half, []).append(key)
+    for dim, by_half in sorted(pending.items()):
+        halves = sorted(by_half)
+        size = max(1, TABLE_CHUNK_BYTES // (8 * dim * dim))
+        for first in range(0, len(halves), size):
+            chunk = halves[first : first + size]
+            tables, loss = _tables(chunk, dim)
+            for half, table, loss_row in zip(chunk, tables, loss):
+                safe_dim = _safe_dim(loss_row)
+                for key in by_half[half]:
+                    psi, tail = pointers[key[0], dim]
+                    found[key] = _displaced(psi, tail, table, safe_dim)
+            del tables, table  # free this chunk before the next pass allocates its own
+    for key in order:
+        _RUNGS.put(key, found[key])
+    return found
+
+
+def _branches(pointer: PointerParams, strength: float, dim: int):
+    """The selection-independent half of a rung, cached per (pointer, strength, cutoff).
+
+    A cold call is a slab of one through _fill, so it computes bit for bit
+    what a warmed slab holds.
+    """
+    key = (pointer, strength, dim)
+    entry = _RUNGS.get(key)
+    return _fill([key])[key] if entry is _MISS else entry
+
+
+def warm(keys) -> int:
+    """Cache the first rungs of a leading slab of (pointer, strength) keys; returns its length.
+
+    The slab is the longest prefix whose entries fit in half of
+    RUNG_CACHE_BYTES, and at least one key, so the later rungs its points
+    may climb to find room without evicting the rest of it.  A None key (a
+    point with no valid pointer) is counted and skipped.
+    """
+    room = _RUNGS.limit // 2
+    rungs, count = [], 0
+    for key in keys:
+        if key is not None:
+            pointer, strength = key
+            dim = _first_cutoff(pointer, strength)
+            room -= _ENTRY_OVERHEAD + 3 * dim * np.dtype(np.complex128).itemsize
+            if room < 0 and rungs:
+                break
+            rungs.append((pointer, strength, dim))
+        count += 1
+    _fill(rungs)
+    return count
 
 
 def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
@@ -540,7 +705,11 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     Displaces the bundle's pointer state by +-strength/2 and weights the branches with
     its selection's weak value; returns the normalized vector and the raw squared norm.
     """
-    up, down, _ = _displace(bundle.psi, strength)
+    half = strength / 2.0
+    tables, _ = _tables([abs(half)], bundle.n_max)
+    up, down = _apply(tables[0], bundle.psi)
+    if half < 0.0:
+        up, down = down, up
     return _kept_combination(weak_value(bundle.sel), up, down)
 
 

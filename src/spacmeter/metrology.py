@@ -93,6 +93,7 @@ def snr(
     The conditioned-route SNR carries a sqrt(trials * keep probability)
     factor, the reference carries sqrt(trials); the ratio is therefore
     independent of the trial count, which is asserted to one part in 1e12.
+    A non-finite ratio or SNR raises ArithmeticError.
     """
     _check_snr_inputs(sel, coupling, trials)  # before paying for a ladder
     return snr_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials)
@@ -115,6 +116,10 @@ def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
     ratio = math.sqrt(keep_prob) * (shift * spread_plain) / (spread * shift_plain)
     conditioned = math.sqrt(trials * keep_prob) * shift / spread
     unconditioned = math.sqrt(trials) * shift_plain / spread_plain
+    if not all(math.isfinite(v) for v in (ratio, conditioned, unconditioned)):
+        raise ArithmeticError(
+            f"non-finite SNR: ratio {ratio!r}, conditioned {conditioned!r}, unconditioned {unconditioned!r}"
+        )
     if abs(ratio - conditioned / unconditioned) > 1e-12 * abs(ratio):
         raise ArithmeticError("trial count failed to cancel in the SNR ratio")
     return SnrReport(

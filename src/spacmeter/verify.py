@@ -4,9 +4,11 @@ run_verify drives every authoritative consistency check the package makes:
 closed forms against the matrix oracle over a parameter grid, the weak and
 strong coupling limits, truncation health (cutoff doubling, unitarity,
 norms, canonical commutator), and the fidelity estimator of the Fisher
-information against its exact value.  It also emits the transcription
-audit table; by policy those discrepancies are reported but never counted
-as failures, since they document the source text rather than this package.
+information against its exact value.  Each check keeps its worst
+tolerance-normalized ratio and the parameter point where it was seen, and
+the report prints both.  It also emits the transcription audit table; by
+policy those discrepancies are reported but never counted as failures,
+since they document the source text rather than this package.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class CheckResult:
     name: str
     worst: float     # largest tolerance-normalized deviation seen (<= 1 passes)
     passed: bool
+    point: str = ""  # audit label of the parameter point where `worst` was seen
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,8 @@ class VerifyReport:
         out = [f"verify level={self.level}"]
         for c in self.checks:
             mark = "ok  " if c.passed else "FAIL"
-            out.append(f"  [{mark}] {c.name:<46} worst/budget {c.worst:10.3e}")
+            at = f" at {c.point}" if c.point else ""
+            out.append(f"  [{mark}] {c.name:<46} worst/budget {c.worst:10.3e}{at}")
         out.append("")
         out.append("transcription audit (informational, never fatal):")
         out.extend("  " + line for line in audit.format_table(self.records))
@@ -106,13 +110,27 @@ def fast_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
     )
 
 
+def _label(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> str:
+    return audit.AuditPoint(
+        sel.phi, sel.delta, pointer.r, pointer.theta, pointer.sigma, coupling.strength
+    ).label()
+
+
 def _worst_of(rows, label: str = "{}") -> list[CheckResult]:
-    """One check per name in the rows' ratio dicts, holding its largest ratio."""
-    worst: dict[str, float] = {}
-    for ratios in rows:
+    """One check per name in the rows' ratio dicts, holding its largest ratio and where it was.
+
+    rows are (point label, ratio dict) pairs.
+    """
+    worst: dict[str, tuple[float, str]] = {}
+    for point, ratios in rows:
         for name, value in ratios.items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    return [CheckResult(label.format(name), value, value <= 1.0) for name, value in worst.items()]
+            held = worst.setdefault(name, (0.0, point))
+            if value > held[0]:
+                worst[name] = (value, point)
+    return [
+        CheckResult(label.format(name), value, value <= 1.0, point)
+        for name, (value, point) in worst.items()
+    ]
 
 
 def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
@@ -133,7 +151,11 @@ def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
 
 
 def _cross_engine_checks(points) -> list[CheckResult]:
-    return _worst_of((_cross_engine_ratios(*point) for point in points), "cross-engine {} on grid")
+    # The grid's distinct first rungs fit in one slab (124 keys on the full
+    # grid), so they are built in one batched table pass per cutoff chunk.
+    fock.warm(list(dict.fromkeys((pointer, coupling.strength) for _, pointer, coupling in points)))
+    rows = ((_label(*point), _cross_engine_ratios(*point)) for point in points)
+    return _worst_of(rows, "cross-engine {} on grid")
 
 
 def _limit_checks() -> list[CheckResult]:
@@ -150,15 +172,17 @@ def _limit_checks() -> list[CheckResult]:
                 t_strong = analytic.transition_value(sel, pointer, strong_coupling)
                 shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
                 g = strong_coupling.coupling_constant(pointer)
-                rows.append({
+                rows.append((_label(sel, pointer, weak_coupling), {
                     "weak limit: transition -> weak value":
                         _ratio(abs(t_weak - weak_value(sel)), 1e-3),
+                }))
+                rows.append((_label(sel, pointer, strong_coupling), {
                     "strong limit: transition -> sin(phi)cos(delta)":
                         _ratio(abs(t_strong - target), 1e-8),
                     "strong limit: position shift -> g sin(phi)cos(delta)":
                         _ratio(abs(shifts.position_shift - g * target), 1e-6 * g),
                     "strong limit: momentum shift -> 0": _ratio(abs(shifts.momentum_shift), 1e-6),
-                })
+                }))
     return _worst_of(rows)
 
 
@@ -174,12 +198,12 @@ def _truncation_checks() -> list[CheckResult]:
     kept = bundle.kept.state.amplitudes
     norm_err = max(abs(float(np.vdot(v, v).real) - 1.0) for v in (bundle.psi, kept))
     resid = max(fock.commutator_residual(v, pointer) for v in (bundle.psi, kept))
-    return _worst_of([{
+    return _worst_of([(_label(sel, pointer, coupling), {
         "cutoff doubling leaves shift fixed": _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx))),
         "displacement unitary on safe block": _ratio(op.unitarity_defect(), 1e-10),
         "state norms hold": _ratio(norm_err, 1e-10),
         "canonical commutator": _ratio(resid, 1e-8),
-    }], "truncation: {}")
+    })], "truncation: {}")
 
 
 def _estimator_check() -> list[CheckResult]:
@@ -192,15 +216,17 @@ def _estimator_check() -> list[CheckResult]:
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
     step, rows = 1e-4, []
     for strength in FAST_STRENGTHS[1:]:
-        bundle = fock.branch_bundle(sel, pointer, Coupling(strength=strength))
+        coupling = Coupling(strength=strength)
+        bundle = fock.branch_bundle(sel, pointer, coupling)
         center, fidelity = bundle.kept.state.amplitudes, []
         for eps in (step, step / 2.0):
             near, _ = fock.assemble_at_cutoff(bundle, strength + eps)
             fidelity.append(metrology.fisher_from_states(center, near, eps))
         exact = bundle.fisher()
         gap = abs(2.0 * fidelity[1] - fidelity[0] - exact)
-        rows.append({"fisher fidelity estimator vs exact derivative":
-                     _ratio(gap, ESTIMATOR_AGREEMENT * exact)})
+        rows.append((_label(sel, pointer, coupling), {
+            "fisher fidelity estimator vs exact derivative": _ratio(gap, ESTIMATOR_AGREEMENT * exact),
+        }))
     return _worst_of(rows)
 
 

@@ -1,7 +1,7 @@
 """Shared test plumbing: cold caches and the acceptance-criteria summary.
 
-Every test starts with `fock`'s rung and displacement caches empty, so a
-test that counts pointer builds or displacements does not depend on what ran
+Every test starts with `fock`'s rung cache empty, so a test that counts
+pointer builds or displacement table passes does not depend on what ran
 before it.
 
 The acceptance module appends one line per criterion to the session log;
@@ -18,8 +18,7 @@ _ACCEPTANCE_LINES: list[str] = []
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    fock._branches.cache_clear()
-    fock._displacement.cache_clear()
+    fock._RUNGS.clear()
 
 
 @pytest.fixture(scope="session")

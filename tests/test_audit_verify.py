@@ -143,6 +143,15 @@ class TestVerifyRunner:
         assert "FAIL" not in text
         assert "informational" in text
         assert "0 failure(s) in 15 checks" in text
+        for check in report.checks:
+            if check.name.startswith("cross-engine"):
+                assert check.point.startswith("phi=") and f"at {check.point}" in text
+
+    def test_check_names_the_point_of_its_worst_ratio(self):
+        rows = [("a", {"x": 0.5, "y": 0.0}), ("b", {"x": 2.0, "y": 0.0}), ("c", {"x": 1.0, "y": 0.0})]
+        by_name = {c.name: c for c in verify._worst_of(rows)}
+        assert (by_name["x"].worst, by_name["x"].point, by_name["x"].passed) == (2.0, "b", False)
+        assert (by_name["y"].worst, by_name["y"].point, by_name["y"].passed) == (0.0, "a", True)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

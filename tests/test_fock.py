@@ -84,6 +84,54 @@ class TestDisplacement:
         norms = np.sum(np.abs(block) ** 2, axis=0)
         assert np.all(np.abs(norms - 1.0) <= 1e-11)
 
+    def test_unitary_at_the_largest_preset_cutoff(self):
+        # criterion 7's r = 21 points reach cutoff 768 at |mu| = 0.15, the
+        # largest cutoff the presets and acceptance criteria use
+        op = fock.displacement_operator(0.15, 768)
+        assert op.safe_dim > 512
+        assert op.unitarity_defect() <= 1e-10
+
+
+class TestTables:
+    HALVES = (0.0, 0.025, 0.15, 0.5, 1.3, 2.9)
+
+    @pytest.mark.parametrize("dim", [64, 160])
+    def test_batch_rows_equal_batch_of_one(self, dim):
+        tables, loss = fock._tables(self.HALVES, dim)
+        assert tables.shape == (len(self.HALVES), dim, dim) and tables.dtype == np.float64
+        for h, table, loss_row in zip(self.HALVES, tables, loss):
+            one, one_loss = fock._tables([h], dim)
+            assert np.array_equal(table, one[0])
+            assert np.array_equal(loss_row, one_loss[0])
+        assert not np.any(np.tril(tables, -1))
+
+    def test_products_match_the_dense_operator(self):
+        psi = fock.spac_state(PointerParams(r=3.0, theta=0.4)).amplitudes[:96]
+        tables, _ = fock._tables([0.7], 96)
+        up, down = fock._apply(tables[0], psi)
+        dense = fock.displacement_operator(0.7, 96).matrix
+        assert np.max(np.abs(up - dense @ psi)) <= 1e-14
+        assert np.max(np.abs(down - dense.conj().T @ psi)) <= 1e-14
+
+    def test_warmed_slab_equals_cold_single_calls(self):
+        # a slab mixes cutoffs, strengths sharing a table, and pointers
+        # sharing a strength; every entry must be what a cold call computes
+        keys = [
+            (PointerParams(r=r, theta=0.3), strength)
+            for r in (0.0, 2.0, 5.0)
+            for strength in (0.0, 0.3, 1.7)
+        ]
+        assert fock.warm(keys) == len(keys)
+        rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
+        warmed = [fock._RUNGS.get(rung) for rung in rungs]
+        fock._RUNGS.clear()
+        for rung, hot in zip(rungs, warmed):
+            cold = fock._branches(*rung)
+            fock._RUNGS.clear()
+            assert hot[1] == cold[1]
+            for a, b in zip(hot[::2] + hot[3:], cold[::2] + cold[3:]):
+                assert np.array_equal(a, b)
+
 
 class TestPointerVector:
     def test_vacuum_seed_is_first_excited_level(self):
@@ -157,11 +205,11 @@ class TestTruncationPolicy:
     def test_cap_reported_when_unreachable(self, monkeypatch):
         # At r = 70 the pointer's bulk (about r^2 = 4900 photons) lies past
         # HARD_DIM_CAP, so the pointer tail rejects the capped first rung
-        # before any amplitude or displacement matrix is built; a reach of
+        # before any amplitude or displacement table is built; a reach of
         # (strength/2)^2 photons past the cap rejects it before the
         # displacement.  Either way: a typed error in bounded memory.
         built = []
-        monkeypatch.setattr(fock, "_displacement", lambda *key: built.append(key))
+        monkeypatch.setattr(fock, "_tables", lambda *key: built.append(key))
         for r, strength in ((70.0, 0.9), (1e200, 0.9), (2.0, 1e200)):
             ptr, cpl = PointerParams(r=r), Coupling(strength=strength)
             assert fock.TruncationPolicy().starting_dim(ptr, strength) == fock.HARD_DIM_CAP

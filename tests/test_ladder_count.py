@@ -1,5 +1,6 @@
 """One certified cutoff ladder per parameter point, whatever is read from it,
-and one cached rung per (pointer, strength, cutoff), whatever selection reads it."""
+one cached rung per (pointer, strength, cutoff), whatever selection reads it,
+and one displacement table pass per cutoff and chunk of a warmed slab."""
 
 import math
 import tracemalloc
@@ -98,11 +99,12 @@ def test_qfi_displaces_once_per_rung(monkeypatch):
     # the exact strength derivative is a read of the bundle's branches: no
     # displacement beyond the bundle's own and no neighbour states
     tried = _count_calls(monkeypatch, "_rung")
-    lookups = _count_calls(monkeypatch, "_displacement")
+    passes = _count_calls(monkeypatch, "_tables")
     neighbours = _count_calls(monkeypatch, "assemble_at_cutoff")
     metrology.qfi(SEL, PTR, CPL)
     assert len(tried) == 1
-    assert len(lookups) == len(tried)
+    assert len(passes) == len(tried)
+    assert [len(halves) for halves, _ in passes] == [1]
     assert neighbours == []
 
 
@@ -110,37 +112,65 @@ def test_queries_at_one_point_share_one_rung(monkeypatch):
     # the pointer and its displaced branches are cached per (pointer,
     # strength, cutoff): repeated and mixed queries at a point build them once
     built = _count_calls(monkeypatch, "_spac_amplitudes")
-    lookups = _count_calls(monkeypatch, "_displacement")
+    passes = _count_calls(monkeypatch, "_tables")
     for _ in range(2):
         for call in QUERIES.values():
             call()
     assert len(built) == 1
-    assert len(lookups) == 1
+    assert len(passes) == 1
+
+
+def _small_cache(monkeypatch, entries: int, dim: int):
+    """A rung cache that holds about `entries` rungs at cutoff `dim`."""
+    limit = entries * (fock._ENTRY_OVERHEAD + 3 * dim * np.dtype(np.complex128).itemsize)
+    monkeypatch.setattr(fock, "_RUNGS", fock._RungCache(limit))
+    return limit
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig4"])
 def test_phi_family_strength_sweep_displaces_once_per_strength(monkeypatch, name):
-    # more strengths than the cache has entries, so a family-major order
-    # would evict every rung before the next family reads it
-    spec = replace(sweep.preset(name), count=fock.RUNG_CACHE_SIZE + 2)
+    # the cache holds fewer rungs than the sweep has strengths, so a
+    # family-major order would evict every rung before the next family reads it
+    spec = replace(sweep.preset(name), count=10)
     assert spec.family == "phi" and len(spec.family_values) == 4
-    lookups = _count_calls(monkeypatch, "_displacement")
+    _small_cache(monkeypatch, 6, 160)
+    passes = _count_calls(monkeypatch, "_tables")
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    assert sorted(mu.real for mu, _ in lookups) == sorted(g / 2.0 for g in spec.axis_values())
+    halves = [h for batch, _ in passes for h in batch]
+    assert sorted(halves) == sorted(g / 2.0 for g in spec.axis_values())
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig4"])
+def test_strength_sweep_runs_one_table_pass_per_cutoff_chunk(monkeypatch, name):
+    # a warmed slab builds its strengths' tables in batches: one recurrence
+    # pass per cutoff and per chunk, not one per strength
+    spec = replace(sweep.preset(name), count=21)
+    passes = _count_calls(monkeypatch, "_tables")
+    _, rows = sweep.run_sweep(spec)
+    assert all(row["flag"] == "" for row in rows)
+    per_dim: dict[int, list[int]] = {}
+    for batch, dim in passes:
+        per_dim.setdefault(dim, []).append(len(batch))
+    for dim, sizes in per_dim.items():
+        chunk = max(1, fock.TABLE_CHUNK_BYTES // (8 * dim * dim))
+        assert len(sizes) == -(-sum(sizes) // chunk)
+    assert sum(len(sizes) for sizes in per_dim.values()) < spec.count
+    assert sorted(h for batch, _ in passes for h in batch) == sorted(g / 2.0 for g in spec.axis_values())
 
 
 @pytest.mark.parametrize("name", ["fig3b", "fig5"])
-def test_r_axis_sweep_builds_each_matrix_once(monkeypatch, name):
-    # neighbouring radii are new pointers, so they miss the rung cache, but
-    # they share a strength and mostly a cutoff: the matrix cache builds each
-    # (strength/2, cutoff) matrix once
+def test_r_axis_sweep_builds_each_table_once(monkeypatch, name):
+    # neighbouring radii are new pointers, so each needs its own rung, but
+    # they share a strength and mostly a cutoff: the warmed slab builds each
+    # (strength/2, cutoff) table once and applies it to every such pointer
     spec = replace(sweep.preset(name), count=41)
     assert spec.axis == "r"
-    builds = _count_calls(monkeypatch, "_build_displacement")
+    passes = _count_calls(monkeypatch, "_tables")
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    assert len(builds) == len(set(builds)) < len(rows) // 2
+    built = [(h, dim) for batch, dim in passes for h in batch]
+    assert len(built) == len(set(built)) < len(rows) // 2
 
 
 def test_bundle_vectors_are_read_only():
@@ -153,27 +183,39 @@ def test_bundle_vectors_are_read_only():
             v *= 2.0
 
 
-def test_rung_cache_memory_is_bounded():
-    # the cache keeps at most RUNG_CACHE_SIZE entries, each at most three
-    # 1-D vectors at a cutoff no larger than HARD_DIM_CAP; clearing it frees
-    # no more than that bound
-    info = fock._branches.cache_info()
-    assert info.maxsize == fock.RUNG_CACHE_SIZE
+def test_rung_cache_memory_is_bounded(monkeypatch):
+    # the cache is bounded in bytes: each entry is at most three 1-D vectors
+    # at a cutoff no larger than HARD_DIM_CAP plus a fixed overhead, its
+    # accounted bytes never pass the limit, and clearing it frees no more
+    assert fock._RUNGS.limit == fock.RUNG_CACHE_BYTES
+    limit = _small_cache(monkeypatch, 8, 160)
     tracemalloc.start()
     try:
-        for k in range(fock.RUNG_CACHE_SIZE + 4):
+        for k in range(12):
             pointer, strength = PointerParams(r=0.5 * k), 0.25 * k
             dim = fock.branch_bundle(SEL, pointer, Coupling(strength=strength)).n_max
             vectors = [x for x in fock._branches(pointer, strength, dim) if isinstance(x, np.ndarray)]
             assert len(vectors) == 3
             assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors)
             assert dim <= fock.HARD_DIM_CAP
+            assert fock._RUNGS.used <= limit
         del vectors
         held = tracemalloc.get_traced_memory()[0]
-        assert fock._branches.cache_info().currsize == fock.RUNG_CACHE_SIZE
-        fock._branches.cache_clear()
+        assert len(fock._RUNGS) < 12
+        fock._RUNGS.clear()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    largest_entry = 3 * fock.HARD_DIM_CAP * np.dtype(np.complex128).itemsize
-    assert 0 < freed <= fock.RUNG_CACHE_SIZE * largest_entry
+    assert 0 < freed <= limit
+    assert fock._RUNGS.used == 0 and len(fock._RUNGS) == 0
+
+
+def test_table_passes_stay_inside_the_chunk_bound(monkeypatch):
+    # one recurrence pass holds at most TABLE_CHUNK_BYTES of tables, or a
+    # single table where one alone is larger
+    passes = _count_calls(monkeypatch, "_tables")
+    sweep.run_sweep(replace(sweep.preset("fig3a"), count=41))
+    fock.transition_moment(SEL, PointerParams(r=18.0), CPL)
+    assert max(dim for _, dim in passes) > 512
+    for batch, dim in passes:
+        assert len(batch) == 1 or len(batch) * 8 * dim * dim <= fock.TABLE_CHUNK_BYTES

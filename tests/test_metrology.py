@@ -86,6 +86,13 @@ class TestSnr:
         with pytest.raises(ValueError):
             metrology.snr(SNR_SEL, SNR_PTR, SNR_CPL, trials=0)
 
+    def test_non_finite_snr_raises(self):
+        # sigma = 1e200 overflows both position variances, so every SNR is
+        # nan; that is an arithmetic failure, not one of the typed refusals
+        with pytest.raises(ArithmeticError) as err:
+            metrology.snr(SelectionParams(phi=1.0), PointerParams(r=2.0, sigma=1e200), Coupling(strength=1.0))
+        assert type(err.value) is ArithmeticError
+
     def test_engine_disagreement_is_fatal(self, monkeypatch):
         true_shifts = analytic.pointer_shifts
 

@@ -1,12 +1,14 @@
 """Sweep runner, CSV/SVG emission, and the command-line front end."""
 
 import csv
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from spacmeter import cli, fock, sweep, svg, verify
+from spacmeter import cli, fock, metrology, sweep, svg, verify
+from spacmeter.model import Coupling, PointerParams, SelectionParams
 
 
 class TestParseNumber:
@@ -128,12 +130,26 @@ class TestRunSweep:
         cold = []
         for phi in spec.family_values:
             for strength in spec.axis_values():
-                fock._branches.cache_clear()
+                fock._RUNGS.clear()
                 params = dict(fixed, phi=phi, strength=strength)
                 cold.append(sweep._evaluate(spec, len(cold), params))
         assert rows == cold
         assert [row["flag"] for row in rows[3:6]] == ["OrthogonalSelection"] * 3
         assert all(row["flag"] == "" for row in rows[:3] + rows[6:])
+
+    def test_warmed_fig4_qfi_equals_fresh_calls(self):
+        # the sweep reads rungs from batched table passes; a fresh qfi call
+        # at the row's point, with a cold cache, must give the same bits
+        spec = dataclasses.replace(sweep.preset("fig4"), count=9)
+        _, rows = sweep.run_sweep(spec)
+        for row in rows:
+            assert row["flag"] == ""
+            fock._RUNGS.clear()
+            sel = SelectionParams(phi=float(row["phi[rad]"]), delta=float(row["delta[rad]"]))
+            pointer = PointerParams(r=float(row["r[1]"]), theta=float(row["theta[rad]"]))
+            coupling = Coupling(strength=float(row["strength[1]"]))
+            fresh = metrology.qfi(sel, pointer, coupling, spec.trials).weighted_fisher
+            assert row["qfi[1]"] == repr(fresh)
 
     def test_orthogonal_endpoint_is_flagged_not_fatal(self):
         spec = sweep.SweepSpec(
@@ -310,6 +326,14 @@ class TestCommandLine:
         code = cli.main(["snr", "--delta", "pi/2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_snr_non_finite_exits_one(self, capsys):
+        # the position variances overflow at sigma = 1e200; the README
+        # promises exit 1 for a non-finite intermediate, not a printed nan
+        code = cli.main(["snr", "--phi", "1", "--sigma", "1e200", "--strength", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "non-finite" in captured.err and "nan" not in captured.out
 
     def test_snr_weak_coupling_wide_pointer_exits_zero(self, capsys):
         code = cli.main(
