@@ -20,8 +20,10 @@ shifts and the Fisher information in the strength are all reads of it.
 
 The strength is real, so every displacement is D(+-|mu|) with real
 entries.  One recurrence pass (`_tables`) computes them for a batch of |mu|
-at one cutoff as real tables, one contiguous row per step, and two real
-matrix products apply a table to a pointer state for both signs.
+at one cutoff as real banded tables: each keeps only the lanes (diagonals)
+that a Laguerre bound cannot certify below BAND_FLOOR, so a pass costs
+O(dim W) for a band W lanes wide, and two banded products over windows of
+the pointer state apply a table to it for both signs.
 Everything a rung computes before the kept-combination gate (the pointer,
 both displaced branches and their gates) does not depend on the selection,
 so it is cached per (pointer, strength, cutoff) in a byte-bounded LRU of
@@ -32,7 +34,7 @@ strength, so each distinct table is built once per slab, batched with the
 slab's other strengths at its cutoff, and applied to every pointer that
 needs it.  A single cold rung is a slab of one through the same code, so a
 warmed rung and a cold one are bit for bit the same.  `displacement_operator`
-assembles the dense complex matrix from a table, for verify and the tests.
+scatters a band into the dense complex matrix, for verify and the tests.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .model import (
     Coupling,
@@ -60,6 +63,10 @@ from .model import (
 # safe subspace.
 SAFE_COLUMN_LOSS = 1e-12
 
+# A displacement table keeps the lanes up to the first whose entries are all
+# certified below this magnitude (_band_width); the rest are never computed.
+BAND_FLOOR = 1e-40
+
 # Every gate's mass bound, the width of each guard band, and the cutoff
 # past which the ladder (doubling from its starting cutoff) gives up.
 TAIL_TOL = 1e-14
@@ -72,8 +79,8 @@ HARD_DIM_CAP = 4096
 RUNG_CACHE_BYTES = 16 << 20
 _ENTRY_OVERHEAD = 1024
 
-# One recurrence pass (_tables) computes at most this many bytes of tables; a
-# batch of strengths at one cutoff is split into chunks this size, and a
+# One recurrence pass (_tables) allocates at most this many bytes (_pass_bytes);
+# a batch of strengths at one cutoff is split into chunks this size, and a
 # single table larger than it is a chunk of its own.
 TABLE_CHUNK_BYTES = 1 << 20
 
@@ -159,57 +166,103 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def _tables(halves, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement tables for a batch of |mu| at one cutoff, and each column's loss.
+def _band_width(half: float, dim: int) -> int:
+    """The lanes d < W of the table at |mu| = half that hold every entry above BAND_FLOOR.
+
+    With x = |mu|^2, DLMF 18.14.8 (|L_n^(d)(x)| <= C(n+d, n) e^(x/2)) bounds
+    each entry by (x (n+d))^(d/2) / d!.  Every entry the recurrence computes,
+    spill lanes included, has n + d < 2 dim, so lane d is bounded by
+    (2 x dim)^(d/2) / d!, which falls with d from d = sqrt(2 x dim) on.  W is
+    the first lane from there whose bound is below BAND_FLOOR, or dim.
+    """
+    x = half * half
+    if x == 0.0:
+        return 1
+    reach = 2.0 * x * dim
+    lanes = np.arange(math.ceil(math.sqrt(reach)), dim)
+    bound = lanes * (0.5 * math.log(reach)) - _log_factorials(dim)[lanes]
+    below = bound < math.log(BAND_FLOOR)
+    return int(lanes[np.argmax(below)]) if below.any() else dim
+
+
+def _pass_bytes(count: int, width: int, dim: int) -> int:
+    """What one _tables pass allocates at most, for count tables at most width lanes wide.
+
+    The bands, the roots (whose rows later hold the squared spill), the
+    step's spare row, the loss rows and the spill mask, plus the iteration
+    buffers numpy takes for up to three operands of a ufunc that it cannot
+    stride through directly (8192 elements each) and a page for small
+    vectors and views.
+    """
+    arrays = count * (width + dim) * width + dim * width + count * (width + dim)
+    return 8 * arrays + width * width + 3 * 8 * 8192 + 4096
+
+
+def _tables(halves, dim: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Banded displacement tables for a batch of |mu| at one cutoff, and each column's loss.
 
     One pass of the scaled associated-Laguerre recurrence runs on the entries
         t_n(d) = sqrt(n! / (n+d)!) |mu|^d exp(-|mu|^2/2) L_n^(d)(|mu|^2),
     all bounded by 1, so it stays stable far past the cutoff where the bare
-    prefactor-times-polynomial form overflows.  Table b holds t_n(d) of the
-    b-th |mu| at row n, column n+d, so each step writes one contiguous row
-    and the table is zero below the diagonal; _apply reads D(|mu|) off it.
-    The batch runs elementwise side by side, so each table and loss row is
-    bit for bit the one a batch of one gives.
+    prefactor-times-polynomial form overflows.  Each lane d is a recurrence
+    in n of its own, so a table keeps only its lanes d < W (_band_width);
+    every entry it drops is below BAND_FLOOR.  Its band has W rows of zeros
+    and then t_n(d) at row W + n, lane d: the dense table T holds it at row n,
+    column n + d, and _apply reads D(|mu|) off it.  The roots sqrt(n (n+d))
+    and the factors (2n - 1 + d) - |mu|^2 are formed once per pass, the
+    factors in the rows they multiply, so each step is four ufunc calls on one
+    band row.  The batch runs side by side at its widest W, the lanes past a
+    table's own W staying zero, so each band and loss row is bit for bit the
+    one a batch of one gives, and every band entry the one the full-width
+    recurrence gives.
 
-    At step n the recurrence also holds column n's rows dim .. n+dim-1, past
-    the cutoff; their squared sum is the column's truncation loss.  Rows
-    from n+dim on are never computed.  They carry mass only once |mu|^2
-    nears dim, and then column 0 already closes the safe block: its entries
-    are the directly evaluated starting values, so its norm deficit is its
-    loss to full precision.  Later columns' norm deficits are not used,
-    because recurrence roundoff makes them drift upward with the column
-    index whatever the cutoff.
+    At step n the recurrence also holds column n's rows past the cutoff, in
+    lanes d >= dim - n; their squared sum is the column's truncation loss,
+    and only the last W - 1 rows have any.  Rows from n+dim on are never
+    computed.  They carry mass only once |mu|^2 nears dim, and then column 0
+    already closes the safe block: its entries are the directly evaluated
+    starting values, so its norm deficit is its loss to full precision.
+    Later columns' norm deficits are not used, because recurrence roundoff
+    makes them drift upward with the column index whatever the cutoff.
     """
     batch = len(halves)
-    tables = np.zeros((batch, dim, dim))
-    loss = np.empty((batch, dim))
-    x = np.array([h ** 2 for h in halves])[:, None]
-    offsets = np.arange(dim, dtype=np.float64)
-    t_curr = np.zeros((batch, dim))
-    for row, h, x_b in zip(t_curr, halves, x[:, 0]):
+    widths = [_band_width(h, dim) for h in halves]
+    width = max(widths)
+    bands = np.zeros((width + dim, batch, width))  # band row, table, lane
+    steps = np.arange(dim, dtype=np.float64)
+    lanes = np.arange(width, dtype=np.float64)
+    roots = np.add(steps[:, None], lanes)  # n + d, then sqrt(n (n + d))
+    for b, h in enumerate(halves):
+        factors = bands[width + 1 :, b]  # (2n - 1 + d) - |mu|^2 for n >= 1
+        np.add(roots[1:], steps[1:, None] - 1.0, out=factors)
+        factors -= h ** 2
+    roots *= steps[:, None]
+    np.sqrt(roots, out=roots)
+    for first, h, w in zip(bands[width], halves, widths):
         if h == 0.0:
-            row[0] = 1.0  # D(0) is the identity, and the recurrence keeps it exact
+            first[0] = 1.0  # D(0) is the identity, and the recurrence keeps it exact
         else:
-            row[:] = np.exp(-0.5 * x_b + offsets * math.log(h) - 0.5 * _log_factorials(dim))
-    tables[:, 0, :] = t_curr
-    loss[:, 0] = 1.0 - np.einsum("bd,bd->b", t_curr, t_curr)
-    # n + d and 2n - 1 + d for every step are windows of one integer ramp
-    ramp = np.arange(3.0 * dim)
-    t_prev, coef = np.zeros((batch, dim)), np.empty((batch, dim))
-    root_prev, root = np.zeros(dim), np.empty(dim)  # sqrt(n (n + d)) at the last and this step
-    for n in range(1, dim):
-        np.sqrt(np.multiply(ramp[n : n + dim], n, out=root), out=root)
-        np.subtract(ramp[2 * n - 1 : 2 * n - 1 + dim], x, out=coef)
-        coef *= t_curr
-        t_prev *= root_prev
-        np.subtract(coef, t_prev, out=t_prev)
-        t_prev /= root
-        t_prev, t_curr = t_curr, t_prev
-        root_prev, root = root, root_prev
-        keep = dim - n
-        tables[:, n, n:] = t_curr[:, :keep]
-        past = t_curr[:, keep:]
-        loss[:, n] = np.einsum("bd,bd->b", past, past)
+            first[:w] = np.exp(-0.5 * h ** 2 + lanes[:w] * math.log(h) - 0.5 * _log_factorials(dim)[:w])
+    grid = bands[:, 0] if batch == 1 else bands  # one-dimensional rows step faster
+    spare = np.empty(grid.shape[1:])
+    rows = zip(grid[width + 1 :], grid[width:], grid[width - 1 :], roots, roots[1:])
+    for row, prev, prev2, root_prev, root in rows:
+        np.multiply(row, prev, row)
+        np.multiply(prev2, root_prev, spare)
+        np.subtract(row, spare, row)
+        np.divide(row, root, row)
+    tables, loss = [], np.zeros((batch, dim))
+    for b, (w, loss_row) in enumerate(zip(widths, loss)):
+        band = bands[width - w :, b, :w]
+        first = band[w]
+        loss_row[0] = 1.0 - np.einsum("d,d->", first, first)
+        # row dim + 1 + k holds column dim - w + 1 + k, whose spill lanes are
+        # d >= w - 1 - k: with the lanes reversed, the lower triangle
+        spill = roots[: w - 1, :w]  # the roots are spent: their rows hold the squares
+        np.square(band[dim + 1 :, ::-1], out=spill)
+        spill[~np.tri(w - 1, w, dtype=bool)] = 0.0
+        loss_row[dim - w + 1 :] = np.einsum("kd->k", spill)
+        tables.append(band)
     return tables, loss
 
 
@@ -228,20 +281,32 @@ def _parity(size: int) -> np.ndarray:
     return signs
 
 
-def _apply(table: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(|mu|) psi and D(-|mu|) psi = D(|mu|)^T psi from one table.
+def _apply(band: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(|mu|) psi and D(-|mu|) psi = D(|mu|)^T psi from one band of _tables.
 
-    With T the table and Z = diag((-1)^m), D(|mu|) = T^T + Z T Z - diag(T): T^T
-    is its lower triangle and the upper one carries the (-1)^d of (-mu*)^d.  So
-    both vectors come from two real products, T^T and T against the real and
-    imaginary parts of psi and of Z psi.
+    With T the dense table and Z = diag((-1)^m), D(|mu|) = T^T + Z T Z - diag(T):
+    T^T is its lower triangle and the upper one carries the (-1)^d of
+    (-mu*)^d.  So both vectors come from T x and T^T x, x the real and
+    imaginary parts of psi and of Z psi.  Both are banded products over
+    windows of x padded with W - 1 zeros on each side: (T x)_n sums
+    band[W + n, d] x_{n+d}, whose padding hides the spill lanes, and
+    (T^T x)_m sums band[W + m - d, d] x_{m-d}, read through a skewed view of
+    the band that starts in its rows of zeros.
     """
-    z = _parity(len(psi))
-    parts = np.empty((4, len(psi)))
+    dim, width = len(psi), band.shape[1]
+    z = _parity(dim)
+    padded = np.zeros((4, dim + 2 * (width - 1)))
+    parts = padded[:, width - 1 : width - 1 + dim]
     parts[0], parts[1] = psi.real, psi.imag
     np.multiply(parts[:2], z, out=parts[2:])
-    along, against = parts @ table, parts @ table.T  # rows: T^T x and T x for each part
-    on_diag = parts[:2] * np.diagonal(table)
+    windows = sliding_window_view(padded, width, axis=1)  # windows[p, k, j] = x_p[k + j - (W - 1)]
+    rows = band[width:]
+    pitch, item = band.strides
+    # skew[m, j] = band[m + 1 + j, W - 1 - j], the entry of lane d = W - 1 - j that meets x_{m-d}
+    skew = as_strided(band[1:, width - 1 :], (dim, width), (pitch, pitch - item))
+    along = np.einsum("pmj,mj->pm", windows[:, :dim], skew)  # T^T x for each part
+    against = np.einsum("pnd,nd->pn", windows[:, width - 1 :], rows)  # T x for each part
+    on_diag = parts[:2] * rows[:, 0]
     up = along[:2] + z * against[2:] - on_diag
     down = against[:2] + z * along[2:] - on_diag
     return up[0] + 1j * up[1], down[0] + 1j * down[1]
@@ -251,13 +316,19 @@ def displacement_operator(mu: complex, n_max: int) -> FockOperator:
     """Dense displacement matrix in the number basis, with safe-subspace size.
 
     D(mu) = R D(|mu|) R^dagger with R = diag(exp(i m arg mu)), D(|mu|) read off
-    the recurrence table of a batch of one.
+    the band of a batch of one scattered into the dense table.
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     mu, dim = complex(mu), int(n_max)
-    tables, loss = _tables([abs(mu)], dim)
-    table, z = tables[0], _parity(dim)
+    bands, loss = _tables([abs(mu)], dim)
+    band = bands[0]
+    width = band.shape[1]
+    # wide[n, n + d] = band[W + n, d]; the spill lands in the columns past dim
+    wide = np.zeros((dim, dim + width))
+    pitch, item = wide.strides
+    as_strided(wide, (dim, width), (pitch + item, item))[:] = band[width:]
+    table, z = wide[:, :dim], _parity(dim)
     real = table.T + z[:, None] * table * z - np.diag(np.diagonal(table))
     phase = np.exp(1j * cmath.phase(mu) * np.arange(dim))
     matrix = phase[:, None] * real * phase.conj()
@@ -513,12 +584,12 @@ def _entry_bytes(entry) -> int:
 _RUNGS = _RungCache(RUNG_CACHE_BYTES)
 
 
-def _displaced(psi, tail, table, safe_dim):
-    """A rung's entry from its pointer and its displacement table, or None at a gate."""
+def _displaced(psi, tail, band, safe_dim):
+    """A rung's entry from its pointer and its displacement band, or None at a gate."""
     beyond = psi[safe_dim:]
     if float(np.vdot(beyond, beyond).real) > TAIL_TOL:
         return None
-    up, down = _apply(table, psi)
+    up, down = _apply(band, psi)
     if _band_mass(up) > TAIL_TOL or _band_mass(down) > TAIL_TOL:
         return None
     for v in (psi, up, down):
@@ -534,9 +605,9 @@ def _fill(rungs) -> dict:
     displacement's reach against the cutoff, the pointer mass outside the
     displacement's safe block and both branches' guard bands.  The
     displacements go by cutoff and then by strength/2 (nonnegative, as
-    Coupling guarantees): each distinct table is built once, in chunks of at
-    most TABLE_CHUNK_BYTES, and applied to every pointer at its cutoff.  New
-    entries are cached in the order of rungs.
+    Coupling guarantees): each distinct table is built once, in passes that
+    allocate at most TABLE_CHUNK_BYTES (_pass_bytes), and applied to every
+    pointer at its cutoff.  New entries are cached in the order of rungs.
     """
     order = list(dict.fromkeys(rungs))
     found, pointers, pending = {}, {}, {}
@@ -558,16 +629,22 @@ def _fill(rungs) -> dict:
             pending.setdefault(dim, {}).setdefault(half, []).append(key)
     for dim, by_half in sorted(pending.items()):
         halves = sorted(by_half)
-        size = max(1, TABLE_CHUNK_BYTES // (8 * dim * dim))
-        for first in range(0, len(halves), size):
-            chunk = halves[first : first + size]
-            tables, loss = _tables(chunk, dim)
-            for half, table, loss_row in zip(chunk, tables, loss):
+        widths = [_band_width(h, dim) for h in halves]  # nondecreasing, as the halves are,
+        # so a chunk's last table is its widest
+        first = 0
+        while first < len(halves):
+            stop = first + 1
+            while stop < len(halves) and _pass_bytes(stop + 1 - first, widths[stop], dim) <= TABLE_CHUNK_BYTES:
+                stop += 1
+            chunk = halves[first:stop]
+            bands, loss = _tables(chunk, dim)
+            for half, band, loss_row in zip(chunk, bands, loss):
                 safe_dim = _safe_dim(loss_row)
                 for key in by_half[half]:
                     psi, tail = pointers[key[0], dim]
-                    found[key] = _displaced(psi, tail, table, safe_dim)
-            del tables, table  # free this chunk before the next pass allocates its own
+                    found[key] = _displaced(psi, tail, band, safe_dim)
+            del bands, band  # free this chunk before the next pass allocates its own
+            first = stop
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -706,8 +783,8 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     its selection's weak value; returns the normalized vector and the raw squared norm.
     """
     half = strength / 2.0
-    tables, _ = _tables([abs(half)], bundle.n_max)
-    up, down = _apply(tables[0], bundle.psi)
+    bands, _ = _tables([abs(half)], bundle.n_max)
+    up, down = _apply(bands[0], bundle.psi)
     if half < 0.0:
         up, down = down, up
     return _kept_combination(weak_value(bundle.sel), up, down)

@@ -119,13 +119,14 @@ def _label(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> 
 def _worst_of(rows, label: str = "{}") -> list[CheckResult]:
     """One check per name in the rows' ratio dicts, holding its largest ratio and where it was.
 
-    rows are (point label, ratio dict) pairs.
+    rows are (point label, ratio dict) pairs.  A NaN ratio is the worst there
+    is: the first one is held, and its check fails.
     """
     worst: dict[str, tuple[float, str]] = {}
     for point, ratios in rows:
         for name, value in ratios.items():
             held = worst.setdefault(name, (0.0, point))
-            if value > held[0]:
+            if not math.isnan(held[0]) and not value <= held[0]:
                 worst[name] = (value, point)
     return [
         CheckResult(label.format(name), value, value <= 1.0, point)

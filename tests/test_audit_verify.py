@@ -153,6 +153,18 @@ class TestVerifyRunner:
         assert (by_name["x"].worst, by_name["x"].point, by_name["x"].passed) == (2.0, "b", False)
         assert (by_name["y"].worst, by_name["y"].point, by_name["y"].passed) == (0.0, "a", True)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("p", {"x": math.nan}), ("q", {"x": 0.5})],
+            [("q", {"x": 0.5}), ("p", {"x": math.nan}), ("r", {"x": 2.0}), ("s", {"x": math.nan})],
+        ],
+        ids=["nan-first", "nan-between"],
+    )
+    def test_nan_ratio_fails_at_its_point(self, rows):
+        (check,) = verify._worst_of(rows)
+        assert math.isnan(check.worst) and check.point == "p" and not check.passed
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             verify.run_verify("paranoid")

@@ -1,6 +1,7 @@
 """Truncated matrix engine: displacement, pointer vector, branch assembly."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,18 +98,60 @@ class TestTables:
 
     @pytest.mark.parametrize("dim", [64, 160])
     def test_batch_rows_equal_batch_of_one(self, dim):
-        tables, loss = fock._tables(self.HALVES, dim)
-        assert tables.shape == (len(self.HALVES), dim, dim) and tables.dtype == np.float64
-        for h, table, loss_row in zip(self.HALVES, tables, loss):
-            one, one_loss = fock._tables([h], dim)
-            assert np.array_equal(table, one[0])
+        bands, loss = fock._tables(self.HALVES, dim)
+        assert len(bands) == len(self.HALVES) and loss.shape == (len(self.HALVES), dim)
+        for h, band, loss_row in zip(self.HALVES, bands, loss):
+            (one,), one_loss = fock._tables([h], dim)
+            width = fock._band_width(h, dim)
+            assert band.shape == one.shape == (width + dim, width) and band.dtype == np.float64
+            assert np.array_equal(band, one)
             assert np.array_equal(loss_row, one_loss[0])
-        assert not np.any(np.tril(tables, -1))
+            assert not np.any(band[:width])
+
+    @pytest.mark.parametrize("dim", [64, 160, 480, 832])
+    @pytest.mark.parametrize("half", [0.0, 0.025, 0.15, 0.75, 1.5, 2.9])
+    def test_bands_equal_the_full_recurrence(self, half, dim):
+        self._assert_band_matches_reference(half, dim)
+        width = fock._band_width(half, dim)
+        if half == 0.0:
+            assert width == 1
+        elif half <= 0.15 or (half <= 1.5 and dim >= 160) or dim >= 480:
+            assert width < dim
+
+    def test_band_spans_every_lane_near_the_cutoff(self):
+        # |mu|^2 = 144 of 160 levels: no lane's bound falls below the floor
+        assert fock._band_width(12.0, 160) == 160
+        self._assert_band_matches_reference(12.0, 160)
+
+    @staticmethod
+    def _assert_band_matches_reference(half, dim):
+        # in-band entries are the full-width recurrence's bit for bit, every
+        # dropped entry is below BAND_FLOOR, and the safe block is unchanged
+        (band,), loss = fock._tables([half], dim)
+        (ref,), ref_loss = bf.full_tables([half], dim)
+        width = band.shape[1]
+        rows = np.arange(dim)[:, None]
+        lanes = np.arange(width)
+        inside = rows + lanes < dim
+        columns = np.minimum(rows + lanes, dim - 1)
+        assert np.array_equal(band[width:][inside], ref[rows, columns][inside])
+        assert np.max(np.abs(np.triu(ref, width)), initial=0.0) <= fock.BAND_FLOOR
+        assert fock._safe_dim(loss[0]) == fock._safe_dim(ref_loss[0])
 
     def test_products_match_the_dense_operator(self):
+        self._assert_products_match((0.7,), 0)
+
+    def test_products_of_a_batch_member_match_the_dense_operator(self):
+        # a member narrower than its batch is a view with the batch's row pitch
+        assert fock._band_width(0.7, 96) < fock._band_width(2.0, 96)
+        self._assert_products_match((0.2, 0.7, 2.0), 1)
+
+    @staticmethod
+    def _assert_products_match(batch, index):
         psi = fock.spac_state(PointerParams(r=3.0, theta=0.4)).amplitudes[:96]
-        tables, _ = fock._tables([0.7], 96)
-        up, down = fock._apply(tables[0], psi)
+        bands, _ = fock._tables(batch, 96)
+        assert bands[index].shape[1] < 96
+        up, down = fock._apply(bands[index], psi)
         dense = fock.displacement_operator(0.7, 96).matrix
         assert np.max(np.abs(up - dense @ psi)) <= 1e-14
         assert np.max(np.abs(down - dense.conj().T @ psi)) <= 1e-14
@@ -364,6 +407,21 @@ class TestFixedCutoff:
         (vec_a, norm_a), (vec_b, norm_b) = (fock.assemble_at_cutoff(b, 0.9) for b in bundles)
         assert norm_b == pytest.approx(norm_a, rel=1e-12)
         assert np.max(np.abs(vec_b[:128] - vec_a)) <= 1e-11
+
+
+def test_engine_imports_nothing_from_analytic():
+    # the oracle is evidence only while it shares no code with the closed forms
+    import ast
+
+    tree = ast.parse(Path(fock.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert imported and not any("analytic" in name.split(".") for name in imported)
 
 
 def test_engine_shares_no_closed_forms():

@@ -144,18 +144,23 @@ def test_phi_family_strength_sweep_displaces_once_per_strength(monkeypatch, name
 @pytest.mark.parametrize("name", ["fig3a", "fig4"])
 def test_strength_sweep_runs_one_table_pass_per_cutoff_chunk(monkeypatch, name):
     # a warmed slab builds its strengths' tables in batches: one recurrence
-    # pass per cutoff and per chunk, not one per strength
+    # pass per cutoff and per chunk, not one per strength, and each chunk as
+    # large as the chunk bound lets it be
     spec = replace(sweep.preset(name), count=21)
     passes = _count_calls(monkeypatch, "_tables")
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    per_dim: dict[int, list[int]] = {}
+    per_dim: dict[int, list[list[float]]] = {}
     for batch, dim in passes:
-        per_dim.setdefault(dim, []).append(len(batch))
-    for dim, sizes in per_dim.items():
-        chunk = max(1, fock.TABLE_CHUNK_BYTES // (8 * dim * dim))
-        assert len(sizes) == -(-sum(sizes) // chunk)
-    assert sum(len(sizes) for sizes in per_dim.values()) < spec.count
+        per_dim.setdefault(dim, []).append(list(batch))
+    for dim, batches in per_dim.items():
+        halves = [h for batch in batches for h in batch]
+        assert halves == sorted(halves)
+        for batch, following in zip(batches, batches[1:]):
+            # the next strength would not have fit in this pass
+            width = fock._band_width(following[0], dim)
+            assert fock._pass_bytes(len(batch) + 1, width, dim) > fock.TABLE_CHUNK_BYTES
+    assert sum(len(batches) for batches in per_dim.values()) < spec.count
     assert sorted(h for batch, _ in passes for h in batch) == sorted(g / 2.0 for g in spec.axis_values())
 
 
@@ -211,11 +216,31 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
 
 
 def test_table_passes_stay_inside_the_chunk_bound(monkeypatch):
-    # one recurrence pass holds at most TABLE_CHUNK_BYTES of tables, or a
-    # single table where one alone is larger
-    passes = _count_calls(monkeypatch, "_tables")
-    sweep.run_sweep(replace(sweep.preset("fig3a"), count=41))
-    fock.transition_moment(SEL, PointerParams(r=18.0), CPL)
-    assert max(dim for _, dim in passes) > 512
-    for batch, dim in passes:
-        assert len(batch) == 1 or len(batch) * 8 * dim * dim <= fock.TABLE_CHUNK_BYTES
+    # one recurrence pass allocates at most TABLE_CHUNK_BYTES, bands,
+    # coefficient rows, roots and numpy's buffers included, or what a single
+    # table needs where one alone is larger; _pass_bytes, which sizes the
+    # chunks, bounds what each pass allocates
+    passes = []
+    tables = fock._tables
+
+    def measured(halves, dim):
+        fock._log_factorials(dim)  # shared across passes, not allocated by this one
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = tables(halves, dim)
+        passes.append((list(halves), dim, tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(fock, "_tables", measured)
+    tracemalloc.start()
+    try:
+        sweep.run_sweep(replace(sweep.preset("fig3a"), count=41))
+        fock.transition_moment(SEL, PointerParams(r=18.0), CPL)
+    finally:
+        tracemalloc.stop()
+    assert max(dim for _, dim, _ in passes) > 512
+    assert any(len(batch) > 1 for batch, _, _ in passes)
+    for batch, dim, peak in passes:
+        width = max(fock._band_width(h, dim) for h in batch)
+        assert peak <= fock._pass_bytes(len(batch), width, dim)
+        assert len(batch) == 1 or peak <= fock.TABLE_CHUNK_BYTES
