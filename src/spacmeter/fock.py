@@ -1,53 +1,34 @@
 """Truncated number-basis engine: the matrix oracle for the pointer readout.
 
-Everything here is basis-exact linear algebra on explicit vectors: the
-pointer state is written out in the number basis, displacements come from a
-stable scaled-Laguerre recurrence, and all expectation values come from
-tridiagonal ladder action.  By design this module imports nothing from the
-closed-form engine, so agreement between the two is meaningful evidence
-rather than circular bookkeeping.
+Everything here is linear algebra on explicit number-basis vectors by
+tridiagonal ladder action, and nothing is imported from the closed-form
+engine, so agreement between the two is meaningful evidence.
 
-Truncation is certified, not assumed.  One cutoff ladder per parameter point
-(`branch_bundle`) grows the cutoff until the pointer tail, the pointer mass
-outside the displacement's safe block, the guard bands of both displaced
-branches and, where the selection has a weak value, the guard band of the
-kept combination all fall below TAIL_TOL, and raises
-TruncationInsufficient if HARD_DIM_CAP is reached first.  The resulting
-BranchBundle holds the pointer and both displaced branches at that cutoff;
-the kept state, the transition value, the keep-everything moments, the
-shifts and the Fisher information in the strength are all reads of it.
-`spac_state` alone keeps a pointer-only ladder.
+Truncation is certified.  One cutoff ladder per point (`branch_bundle`)
+grows the cutoff until the pointer tail, the mass of both displaced branches
+past the cutoff, their guard bands and the kept combination's guard band all
+fall below TAIL_TOL, or raises TruncationInsufficient at HARD_DIM_CAP.  Every
+oracle observable of the point is a read of the BranchBundle it returns.
 
-The strength is real, so every displacement is D(+-|mu|) with real
-entries.  One recurrence pass (`_tables`) computes them for a batch of |mu|
-at one cutoff as real banded tables: each keeps only the lanes (diagonals)
-that a Laguerre bound cannot certify below BAND_FLOOR, so a pass costs
-O(dim W) for a band W lanes wide, and two banded products over windows of
-the pointer state apply a table to it for both signs.
-Everything a rung computes before the kept-combination gate (the pointer,
-both displaced branches and their gates) does not depend on the selection,
-so it is cached per (pointer, strength, cutoff) in a byte-bounded LRU of
-read-only vectors; the selections of one sweep point, and the snr, qfi and
-transition_moment calls at one point, share it.  `warm` fills that cache
-for a slab of (pointer, strength) keys at once, ordered by cutoff and
-strength, so each distinct table is built once per slab, batched with the
-slab's other strengths at its cutoff, and applied to every pointer that
-needs it.  A single cold rung is a slab of one through the same code, so a
-warmed rung and a cold one are bit for bit the same.  `displacement_operator`
-scatters a band into the dense complex matrix, for verify and the tests.
+The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
+Chebyshev series (`_series`) gives both signs from the same ladder actions,
+on a basis padded until a Duhamel bound (`_pad`) puts the truncated
+generator's error below float eps.  A rung's selection-independent part is
+cached per (pointer, strength, cutoff); `warm` fills the cache a slab at a
+time, one series per block of one cutoff and padding, and a cold rung (a
+block of one) is bit for bit a warmed one.  `displacement_operator` applies
+the series to the identity's columns.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .model import (
     Coupling,
@@ -59,13 +40,8 @@ from .model import (
     weak_value,
 )
 
-# Columns that put more than this much mass past the cutoff are outside the
-# safe subspace.
+# Columns of displacement_operator with more mass than this past the cutoff are outside its safe block.
 SAFE_COLUMN_LOSS = 1e-12
-
-# A displacement table keeps the lanes up to the first whose entries are all
-# certified below this magnitude (_band_width); the rest are never computed.
-BAND_FLOOR = 1e-40
 
 # Every gate's mass bound, the width of each guard band, and the cutoff
 # past which the ladder (doubling from its starting cutoff) gives up.
@@ -79,10 +55,7 @@ HARD_DIM_CAP = 4096
 RUNG_CACHE_BYTES = 16 << 20
 _ENTRY_OVERHEAD = 1024
 
-# One recurrence pass (_tables) allocates at most this many bytes (_pass_bytes);
-# a batch of strengths at one cutoff is split into chunks this size, and a
-# single table larger than it is a chunk of its own.
-TABLE_CHUNK_BYTES = 1 << 20
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class TruncationInsufficient(RuntimeError):
@@ -140,13 +113,14 @@ class FockOperator:
         return int(self.matrix.shape[0])
 
     def unitarity_defect(self) -> float:
-        """Max deviation of adjoint(D) D from identity on the safe subspace."""
+        """Max deviation of adjoint(D) D from identity on the safe subspace, 32 rows of it at a time."""
         if self.safe_dim == 0:
             return float("inf")
-        block = self.matrix[:, : self.safe_dim]
-        gram = block.conj().T @ block
-        gram -= np.eye(self.safe_dim)
-        return float(np.max(np.abs(gram)))
+        n, block = self.safe_dim, self.matrix[:, : self.safe_dim]
+        return max(
+            float(np.max(np.abs(block[:, j : j + 32].conj().T @ block - np.eye(min(32, n - j), n, j))))
+            for j in range(0, n, 32)
+        )
 
 
 @dataclass(frozen=True)
@@ -160,180 +134,152 @@ class AssembledState:
 
 @lru_cache(maxsize=32)
 def _log_factorials(size: int) -> np.ndarray:
-    """log(k!) for k = 0 .. size - 1, read-only and shared by the builds at one size."""
+    """log(k!) for k = 0 .. size - 1, read-only and shared by the pointer builds at one size."""
     table = np.array([math.lgamma(k + 1.0) for k in range(size)])
     table.flags.writeable = False
     return table
 
 
-def _band_width(half: float, dim: int) -> int:
-    """The lanes d < W of the table at |mu| = half that hold every entry above BAND_FLOOR.
+def _duhamel_bound(half: float, dim: int, pad: int) -> float:
+    """Bound on |P D(|mu|) psi - exp(|mu| G_N) psi| for unit psi on dim levels, G_N = G on N = dim + pad levels.
 
-    With x = |mu|^2, DLMF 18.14.8 (|L_n^(d)(x)| <= C(n+d, n) e^(x/2)) bounds
-    each entry by (x (n+d))^(d/2) / d!.  Every entry the recurrence computes,
-    spill lanes included, has n + d < 2 dim, so lane d is bounded by
-    (2 x dim)^(d/2) / d!, which falls with d from d = sqrt(2 x dim) on.  W is
-    the first lane from there whose bound is below BAND_FLOOR, or dim.
+    G_N differs from G only by the step between levels N - 1 and N, so by
+    Duhamel the error is at most sqrt(N) int_0^|mu| |<N|D(s) psi>| ds.  DLMF
+    18.14.8, |L_n^(d)(x)| <= C(n+d, n) e^(x/2), bounds |<N|D(s)|j>| by
+    (s^2 N)^(d/2) / d! for d = N - j >= pad, growing in s; over the dim levels
+    of psi the sum is at most sqrt(dim) times the largest term.
     """
-    x = half * half
-    if x == 0.0:
-        return 1
-    reach = 2.0 * x * dim
-    lanes = np.arange(math.ceil(math.sqrt(reach)), dim)
-    bound = lanes * (0.5 * math.log(reach)) - _log_factorials(dim)[lanes]
-    below = bound < math.log(BAND_FLOOR)
-    return int(lanes[np.argmax(below)]) if below.any() else dim
+    if half == 0.0:
+        return 0.0
+    log_reach = 2.0 * math.log(half) + math.log(dim + pad)  # of |mu|^2 N
+    d = max(pad, math.floor(math.exp(0.5 * log_reach)))  # the terms peak at sqrt(|mu|^2 N)
+    log_bound = 0.5 * math.log((dim + pad) * dim) + math.log(half) + 0.5 * d * log_reach - math.lgamma(d + 1.0)
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 
-def _pass_bytes(count: int, width: int, dim: int) -> int:
-    """What one _tables pass allocates at most, for count tables at most width lanes wide.
+@lru_cache(maxsize=1024)
+def _pad(half: float, dim: int) -> int:
+    """Levels the series adds past the cutoff: the fewest, in steps of 32, putting _duhamel_bound below eps."""
+    pad = 0
+    while _duhamel_bound(half, dim, pad) >= _EPS:
+        pad += 32
+    return pad
 
-    The bands, the roots (whose rows later hold the squared spill), the
-    step's spare row, the loss rows and the spill mask, plus the iteration
-    buffers numpy takes for up to three operands of a ufunc that it cannot
-    stride through directly (8192 elements each) and a page for small
-    vectors and views.
+
+@lru_cache(maxsize=1024)
+def _chebyshev_weights(z: float) -> np.ndarray:
+    """c_0 = J_0(z) and c_k = 2 J_k(z) for the terms the series keeps, read-only.
+
+    It stops where DLMF 10.14.4, |J_k(z)| <= (z/2)^k / k!, puts the dropped
+    weights below float eps together (a geometric tail past k = z/2).
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} starts 32
+    orders further out, is scaled by 2^-800 near overflow and is normalized
+    by J_0 + 2 (J_2 + J_4 + ...) = 1.  One term means z < eps: J_0(z) is 1.
     """
-    arrays = count * (width + dim) * width + dim * width + count * (width + dim)
-    return 8 * arrays + width * width + 3 * 8 * 8192 + 4096
+    terms = 1
+    if z > 0.0:
+        terms = max(1, math.ceil(0.5 * z))
+        while (terms * math.log(0.5 * z) - math.lgamma(terms + 1.0)
+               - math.log(0.5 - 0.25 * z / (terms + 1.0)) > math.log(_EPS)):
+            terms += 1
+    weights = np.ones(1)
+    if terms > 1:
+        above, below = 1.0, 0.0
+        values = [0.0] * (terms + 32) + [above]
+        for k in range(terms + 32, 0, -1):
+            above, below = (2.0 * k / z) * above - below, above
+            if abs(above) > 2.0 ** 800:
+                above, below = above * 2.0 ** -800, below * 2.0 ** -800
+                values[k:] = [v * 2.0 ** -800 for v in values[k:]]
+            values[k - 1] = above
+        weights = np.array(values[:terms]) / math.fsum([values[0]] + [2.0 * v for v in values[2::2]])
+        weights[1:] *= 2.0
+    weights.flags.writeable = False
+    return weights
 
 
-def _tables(halves, dim: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Banded displacement tables for a batch of |mu| at one cutoff, and each column's loss.
+def _series(rows: np.ndarray, channels: int, rungs) -> tuple[np.ndarray, np.ndarray]:
+    """exp(+|mu| G) x and exp(-|mu| G) x, in rung order, for each rung (row, |mu|) of a block of vectors x.
 
-    One pass of the scaled associated-Laguerre recurrence runs on the entries
-        t_n(d) = sqrt(n! / (n+d)!) |mu|^d exp(-|mu|^2/2) L_n^(d)(|mu|^2),
-    all bounded by 1, so it stays stable far past the cutoff where the bare
-    prefactor-times-polynomial form overflows.  Each lane d is a recurrence
-    in n of its own, so a table keeps only its lanes d < W (_band_width);
-    every entry it drops is below BAND_FLOOR.  Its band has W rows of zeros
-    and then t_n(d) at row W + n, lane d: the dense table T holds it at row n,
-    column n + d, and _apply reads D(|mu|) off it.  The roots sqrt(n (n+d))
-    and the factors (2n - 1 + d) - |mu|^2 are formed once per pass, the
-    factors in the rows they multiply, so each step is four ufunc calls on one
-    band row.  The batch runs side by side at its widest W, the lanes past a
-    table's own W staying zero, so each band and loss row is bit for bit the
-    one a batch of one gives, and every band entry the one the full-width
-    recurrence gives.
-
-    At step n the recurrence also holds column n's rows past the cutoff, in
-    lanes d >= dim - n; their squared sum is the column's truncation loss,
-    and only the last W - 1 rows have any.  Rows from n+dim on are never
-    computed.  They carry mass only once |mu|^2 nears dim, and then column 0
-    already closes the safe block: its entries are the directly evaluated
-    starting values, so its norm deficit is its loss to full precision.
-    Later columns' norm deficits are not used, because recurrence roundoff
-    makes them drift upward with the column index whatever the cutoff.
+    A row is x on N levels as N groups of `channels` reals (2: a complex x).
+    With rho = 2 sqrt(N) above G's spectral radius and z = |mu| rho
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+        exp(+-|mu| G) x = sum_k (+-1)^k c_k w_k,  c_k = _chebyshev_weights(z),
+        w_0 = x,  w_1 = G x / rho,  w_{k+1} = (2 / rho) G w_k + w_{k-1},
+    each |w_k| <= |x|.  A row's rungs share its w_k and each sums its own
+    terms in k order to its own count, bit for bit as a block of one would;
+    even and odd terms are summed apart.  Step k touches only the levels
+    within k of the rows' support.
     """
-    batch = len(halves)
-    widths = [_band_width(h, dim) for h in halves]
-    width = max(widths)
-    bands = np.zeros((width + dim, batch, width))  # band row, table, lane
-    steps = np.arange(dim, dtype=np.float64)
-    lanes = np.arange(width, dtype=np.float64)
-    roots = np.add(steps[:, None], lanes)  # n + d, then sqrt(n (n + d))
-    for b, h in enumerate(halves):
-        factors = bands[width + 1 :, b]  # (2n - 1 + d) - |mu|^2 for n >= 1
-        np.add(roots[1:], steps[1:, None] - 1.0, out=factors)
-        factors -= h ** 2
-    roots *= steps[:, None]
-    np.sqrt(roots, out=roots)
-    for first, h, w in zip(bands[width], halves, widths):
-        if h == 0.0:
-            first[0] = 1.0  # D(0) is the identity, and the recurrence keeps it exact
+    count, length = rows.shape
+    step = np.repeat(_roots(length // channels), channels) / math.sqrt(length // channels)  # (2 / rho) sqrt(n)
+    weights = [_chebyshev_weights(2.0 * half * math.sqrt(length // channels)) for _, half in rungs]
+    order = sorted(range(len(rungs)), key=lambda r: -len(weights[r]))  # longest series first
+    lengths = [len(weights[r]) for r in order]
+    table = np.zeros((lengths[0], len(rungs), 1))
+    for place, r in enumerate(order):
+        table[: lengths[place], place, 0] = weights[r]
+    index = np.array([rungs[r][0] for r in order])
+    aligned = count == 1 or np.array_equal(index, np.arange(count))
+    w, last, shift = rows.copy(), np.zeros_like(rows), np.empty_like(rows)
+    sums, term = np.zeros((2, len(rungs), length)), np.empty((len(rungs), length))  # even and odd terms
+    held = np.flatnonzero(np.any(rows, axis=0)) // channels * channels
+    lo, hi = (held[0], held[-1] + channels) if len(held) else (0, channels)
+    live = len(rungs)
+    for k, weight in enumerate(table):
+        while lengths[live - 1] <= k:
+            live -= 1
+        if k:  # last becomes w_{k+1} = w_{k-1} + (2 / rho) G w_k, one level wider each way
+            top, bottom = min(hi, length - channels), max(lo - channels, 0)
+            np.multiply(step[lo:top], w[:, lo:top], out=shift[:, lo:top])
+            last[:, lo + channels : top + channels] += shift[:, lo:top]
+            np.multiply(step[bottom : hi - channels], w[:, bottom + channels : hi],
+                        out=shift[:, bottom : hi - channels])
+            last[:, bottom : hi - channels] -= shift[:, bottom : hi - channels]
+            lo, hi = bottom, top + channels
+            if k == 1:
+                last[:, lo:hi] *= 0.5
+            w, last = last, w
+        band = term[:live, lo:hi]
+        if aligned:
+            np.multiply(w[:, lo:hi] if count == 1 else w[:live, lo:hi], weight[:live], out=band)
         else:
-            first[:w] = np.exp(-0.5 * h ** 2 + lanes[:w] * math.log(h) - 0.5 * _log_factorials(dim)[:w])
-    grid = bands[:, 0] if batch == 1 else bands  # one-dimensional rows step faster
-    spare = np.empty(grid.shape[1:])
-    rows = zip(grid[width + 1 :], grid[width:], grid[width - 1 :], roots, roots[1:])
-    for row, prev, prev2, root_prev, root in rows:
-        np.multiply(row, prev, row)
-        np.multiply(prev2, root_prev, spare)
-        np.subtract(row, spare, row)
-        np.divide(row, root, row)
-    tables, loss = [], np.zeros((batch, dim))
-    for b, (w, loss_row) in enumerate(zip(widths, loss)):
-        band = bands[width - w :, b, :w]
-        first = band[w]
-        loss_row[0] = 1.0 - np.einsum("d,d->", first, first)
-        # row dim + 1 + k holds column dim - w + 1 + k, whose spill lanes are
-        # d >= w - 1 - k: with the lanes reversed, the lower triangle
-        spill = roots[: w - 1, :w]  # the roots are spent: their rows hold the squares
-        np.square(band[dim + 1 :, ::-1], out=spill)
-        spill[~np.tri(w - 1, w, dtype=bool)] = 0.0
-        loss_row[dim - w + 1 :] = np.einsum("kd->k", spill)
-        tables.append(band)
-    return tables, loss
+            np.take(w[:, lo:hi], index[:live], axis=0, out=band)
+            band *= weight[:live]
+        sums[k % 2, :live, lo:hi] += band
+    inverse = np.argsort(order)
+    return (sums[0] + sums[1])[inverse], (sums[0] - sums[1])[inverse]
 
 
-def _safe_dim(loss: np.ndarray) -> int:
-    """Columns before the first whose loss past the cutoff exceeds SAFE_COLUMN_LOSS."""
-    over = loss > SAFE_COLUMN_LOSS
-    return len(loss) if not over.any() else int(np.argmax(over))
-
-
-@lru_cache(maxsize=32)
-def _parity(size: int) -> np.ndarray:
-    """(-1)^m for m = 0 .. size - 1, read-only and shared by the products at one size."""
-    signs = np.ones(size)
-    signs[1::2] = -1.0
-    signs.flags.writeable = False
-    return signs
-
-
-def _apply(band: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(|mu|) psi and D(-|mu|) psi = D(|mu|)^T psi from one band of _tables.
-
-    With T the dense table and Z = diag((-1)^m), D(|mu|) = T^T + Z T Z - diag(T):
-    T^T is its lower triangle and the upper one carries the (-1)^d of
-    (-mu*)^d.  So both vectors come from T x and T^T x, x the real and
-    imaginary parts of psi and of Z psi.  Both are banded products over
-    windows of x padded with W - 1 zeros on each side: (T x)_n sums
-    band[W + n, d] x_{n+d}, whose padding hides the spill lanes, and
-    (T^T x)_m sums band[W + m - d, d] x_{m-d}, read through a skewed view of
-    the band that starts in its rows of zeros.
-    """
-    dim, width = len(psi), band.shape[1]
-    z = _parity(dim)
-    padded = np.zeros((4, dim + 2 * (width - 1)))
-    parts = padded[:, width - 1 : width - 1 + dim]
-    parts[0], parts[1] = psi.real, psi.imag
-    np.multiply(parts[:2], z, out=parts[2:])
-    windows = sliding_window_view(padded, width, axis=1)  # windows[p, k, j] = x_p[k + j - (W - 1)]
-    rows = band[width:]
-    pitch, item = band.strides
-    # skew[m, j] = band[m + 1 + j, W - 1 - j], the entry of lane d = W - 1 - j that meets x_{m-d}
-    skew = as_strided(band[1:, width - 1 :], (dim, width), (pitch, pitch - item))
-    along = np.einsum("pmj,mj->pm", windows[:, :dim], skew)  # T^T x for each part
-    against = np.einsum("pnd,nd->pn", windows[:, width - 1 :], rows)  # T x for each part
-    on_diag = parts[:2] * rows[:, 0]
-    up = along[:2] + z * against[2:] - on_diag
-    down = against[:2] + z * along[2:] - on_diag
-    return up[0] + 1j * up[1], down[0] + 1j * down[1]
+def _reaches(half: float, dim: int) -> bool:
+    """Whether |mu|^2 photons reach the cutoff, where column 0 of D(|mu|), the state |mu>, loses half its mass."""
+    return half * half >= dim
 
 
 def displacement_operator(mu: complex, n_max: int) -> FockOperator:
     """Dense displacement matrix in the number basis, with safe-subspace size.
 
-    D(mu) = R D(|mu|) R^dagger with R = diag(exp(i m arg mu)), D(|mu|) read off
-    the band of a batch of one scattered into the dense table.
+    D(mu) = R D(|mu|) R^dagger, R = diag(exp(i m arg mu)), with D(|mu|) the
+    series on the identity's columns, 32 at a time, on the padded basis.
+    Where |mu|^2 reaches the cutoff no column is safe and no padding is added.
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     mu, dim = complex(mu), int(n_max)
-    bands, loss = _tables([abs(mu)], dim)
-    band = bands[0]
-    width = band.shape[1]
-    # wide[n, n + d] = band[W + n, d]; the spill lands in the columns past dim
-    wide = np.zeros((dim, dim + width))
-    pitch, item = wide.strides
-    as_strided(wide, (dim, width), (pitch + item, item))[:] = band[width:]
-    table, z = wide[:, :dim], _parity(dim)
-    real = table.T + z[:, None] * table * z - np.diag(np.diagonal(table))
+    reaches = _reaches(abs(mu), dim)
+    size = dim if reaches else dim + _pad(abs(mu), dim)
+    matrix, loss = np.empty((dim, dim), dtype=np.complex128), np.zeros(dim)
+    for first in range(0, dim, 32):
+        block = np.eye(min(32, dim - first), size, first)
+        up, _ = _series(block, 1, [(j, abs(mu)) for j in range(len(block))])
+        matrix[:, first : first + len(block)] = up[:, :dim].T
+        loss[first : first + len(block)] = np.sum(up[:, dim:] ** 2, axis=1)
     phase = np.exp(1j * cmath.phase(mu) * np.arange(dim))
-    matrix = phase[:, None] * real * phase.conj()
+    matrix *= phase[:, None]
+    matrix *= phase.conj()
     matrix.flags.writeable = False
-    return FockOperator(matrix=matrix, safe_dim=_safe_dim(loss[0]))
+    over = [0] if reaches else np.flatnonzero(loss > SAFE_COLUMN_LOSS)
+    return FockOperator(matrix=matrix, safe_dim=int(over[0]) if len(over) else dim)
 
 
 def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, float]:
@@ -399,8 +345,7 @@ def _cutoffs(pointer: PointerParams, strength: float, policy: TruncationPolicy):
 
 
 def _band_mass(v: np.ndarray) -> float:
-    seg = v[-GUARD_BAND:]
-    return float(np.vdot(seg, seg).real)
+    return float(np.vdot(v[-GUARD_BAND:], v[-GUARD_BAND:]).real)
 
 
 def _kept_combination(weak: complex, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float]:
@@ -548,33 +493,29 @@ class _RungCache:
         self.limit = limit
         self.used = 0
         self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, key):
         """The entry under key, freshened, or _MISS."""
-        with self._lock:
-            if key not in self._entries:
-                return _MISS
-            self._entries.move_to_end(key)
-            return self._entries[key]
+        if key not in self._entries:
+            return _MISS
+        self._entries.move_to_end(key)
+        return self._entries[key]
 
     def put(self, key, entry) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = entry
-            self.used += _entry_bytes(entry)
-            while self.used > self.limit:
-                _, old = self._entries.popitem(last=False)
-                self.used -= _entry_bytes(old)
+        if key in self._entries:
+            return
+        self._entries[key] = entry
+        self.used += _entry_bytes(entry)
+        while self.used > self.limit:
+            _, old = self._entries.popitem(last=False)
+            self.used -= _entry_bytes(old)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.used = 0
+        self._entries.clear()
+        self.used = 0
 
 
 def _entry_bytes(entry) -> int:
@@ -584,33 +525,25 @@ def _entry_bytes(entry) -> int:
 _RUNGS = _RungCache(RUNG_CACHE_BYTES)
 
 
-def _displaced(psi, tail, band, safe_dim):
-    """A rung's entry from its pointer and its displacement band, or None at a gate."""
-    beyond = psi[safe_dim:]
-    if float(np.vdot(beyond, beyond).real) > TAIL_TOL:
-        return None
-    up, down = _apply(band, psi)
-    if _band_mass(up) > TAIL_TOL or _band_mass(down) > TAIL_TOL:
-        return None
-    for v in (psi, up, down):
-        v.flags.writeable = False
-    return psi, tail, up, down
+def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
+    """D(+|mu|) psi and D(-|mu|) psi on dim + pad levels for each rung (row, |mu|) of pointer states at cutoff dim."""
+    rows = np.zeros((len(psis), dim + pad), dtype=np.complex128)
+    rows[:, :dim] = psis
+    up, down = _series(rows.view(np.float64), 2, rungs)
+    return up.view(np.complex128), down.view(np.complex128)
 
 
 def _fill(rungs) -> dict:
     """Entries for (pointer, strength, cutoff) keys, computing the uncached ones as one slab.
 
     An entry is (psi, tail, up, down) with read-only vectors, or None at the
-    first gate that rejects the cutoff: the pointer tail, the
-    displacement's reach against the cutoff, the pointer mass outside the
-    displacement's safe block and both branches' guard bands.  The
-    displacements go by cutoff and then by strength/2 (nonnegative, as
-    Coupling guarantees): each distinct table is built once, in passes that
-    allocate at most TABLE_CHUNK_BYTES (_pass_bytes), and applied to every
-    pointer at its cutoff.  New entries are cached in the order of rungs.
+    first gate that rejects the cutoff: the pointer tail, the reach, either
+    padded branch's mass past the cutoff and both guard bands.  Each block of
+    one cutoff and one pad runs one series, its distinct pointers as rows and
+    each (pointer, strength/2 >= 0) as a rung.  New entries are cached in order.
     """
     order = list(dict.fromkeys(rungs))
-    found, pointers, pending = {}, {}, {}
+    found, pointers, blocks = {}, {}, {}
     for key in order:
         cached = _RUNGS.get(key)
         if cached is not _MISS:
@@ -619,32 +552,20 @@ def _fill(rungs) -> dict:
         pointer, strength, dim = key
         if (pointer, dim) not in pointers:
             pointers[pointer, dim] = _spac_amplitudes(pointer, dim)
-        tail = pointers[pointer, dim][1]
-        half = strength / 2.0
-        # |strength/2|^2 photons at or past the cutoff would cost column 0 of
-        # the displacement about half its mass, so its safe block would be empty.
-        if tail > TAIL_TOL or half * half >= dim:
-            found[key] = None
-        else:
-            pending.setdefault(dim, {}).setdefault(half, []).append(key)
-    for dim, by_half in sorted(pending.items()):
-        halves = sorted(by_half)
-        widths = [_band_width(h, dim) for h in halves]  # nondecreasing, as the halves are,
-        # so a chunk's last table is its widest
-        first = 0
-        while first < len(halves):
-            stop = first + 1
-            while stop < len(halves) and _pass_bytes(stop + 1 - first, widths[stop], dim) <= TABLE_CHUNK_BYTES:
-                stop += 1
-            chunk = halves[first:stop]
-            bands, loss = _tables(chunk, dim)
-            for half, band, loss_row in zip(chunk, bands, loss):
-                safe_dim = _safe_dim(loss_row)
-                for key in by_half[half]:
-                    psi, tail = pointers[key[0], dim]
-                    found[key] = _displaced(psi, tail, band, safe_dim)
-            del bands, band  # free this chunk before the next pass allocates its own
-            first = stop
+            pointers[pointer, dim][0].flags.writeable = False
+        found[key] = None
+        if pointers[pointer, dim][1] <= TAIL_TOL and not _reaches(strength / 2.0, dim):
+            blocks.setdefault((dim, _pad(strength / 2.0, dim)), []).append(key)
+    for (dim, pad), keys in sorted(blocks.items()):
+        row = {pointer: place for place, pointer in enumerate(dict.fromkeys(key[0] for key in keys))}
+        psis = [pointers[pointer, dim][0] for pointer in row]
+        ups, downs = _displace(psis, dim, pad, [(row[key[0]], key[1] / 2.0) for key in keys])
+        for key, up, down in zip(keys, ups, downs):
+            past = max(float(np.vdot(v[dim:], v[dim:]).real) for v in (up, down))
+            up, down = up[:dim].copy(), down[:dim].copy()
+            if max(past, _band_mass(up), _band_mass(down)) <= TAIL_TOL:
+                up.flags.writeable = down.flags.writeable = False
+                found[key] = (*pointers[key[0], dim], up, down)
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -782,12 +703,11 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     Displaces the bundle's pointer state by +-strength/2 and weights the branches with
     its selection's weak value; returns the normalized vector and the raw squared norm.
     """
-    half = strength / 2.0
-    bands, _ = _tables([abs(half)], bundle.n_max)
-    up, down = _apply(bands[0], bundle.psi)
+    half, dim = strength / 2.0, bundle.n_max
+    (up,), (down,) = _displace([bundle.psi], dim, _pad(abs(half), dim), [(0, abs(half))])
     if half < 0.0:
         up, down = down, up
-    return _kept_combination(weak_value(bundle.sel), up, down)
+    return _kept_combination(weak_value(bundle.sel), up[:dim], down[:dim])
 
 
 def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:

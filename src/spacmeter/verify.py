@@ -2,13 +2,14 @@
 
 run_verify drives every authoritative consistency check the package makes:
 closed forms against the matrix oracle over a parameter grid, the weak and
-strong coupling limits, truncation health (cutoff doubling, unitarity,
-norms, canonical commutator), and the fidelity estimator of the Fisher
-information against its exact value.  Each check keeps its worst
-tolerance-normalized ratio and the parameter point where it was seen, and
-the report prints both.  It also emits the transcription audit table; by
-policy those discrepancies are reported but never counted as failures,
-since they document the source text rather than this package.
+strong coupling limits, truncation health (cutoff doubling, for the shift
+and for the displaced branches, unitarity, norms, canonical commutator),
+and the fidelity estimator of the Fisher information against its exact
+value.  Each check keeps its worst tolerance-normalized ratio and the
+parameter point where it was seen, and the report prints both.  It also
+emits the transcription audit table; by policy those discrepancies are
+reported but never counted as failures, since they document the source
+text rather than this package.
 """
 
 from __future__ import annotations
@@ -194,13 +195,21 @@ def _truncation_checks() -> list[CheckResult]:
     bundle = fock.branch_bundle(sel, pointer, coupling)
     dx, _ = bundle.kept_shift()
     doubled_pol = fock.TruncationPolicy(initial_dim=2 * bundle.n_max)
-    dx2, _ = fock.branch_bundle(sel, pointer, coupling, doubled_pol).kept_shift()
+    doubled = fock.branch_bundle(sel, pointer, coupling, doubled_pol)
+    dx2, _ = doubled.kept_shift()
+    # every gate lets at most TAIL_TOL of mass past the cutoff, so no
+    # amplitude below it may move by more than sqrt(TAIL_TOL) when it doubles
+    moved = max(
+        float(np.linalg.norm(v - w[: bundle.n_max]))
+        for v, w in ((bundle.up, doubled.up), (bundle.down, doubled.down))
+    )
     op = fock.displacement_operator(coupling.strength / 2.0, bundle.n_max)
     kept = bundle.kept.state.amplitudes
     norm_err = max(abs(float(np.vdot(v, v).real) - 1.0) for v in (bundle.psi, kept))
     resid = max(fock.commutator_residual(v, pointer) for v in (bundle.psi, kept))
     return _worst_of([(_label(sel, pointer, coupling), {
         "cutoff doubling leaves shift fixed": _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx))),
+        "cutoff doubling leaves D(+-g/2) psi fixed": _ratio(moved, math.sqrt(fock.TAIL_TOL)),
         "displacement unitary on safe block": _ratio(op.unitarity_defect(), 1e-10),
         "state norms hold": _ratio(norm_err, 1e-10),
         "canonical commutator": _ratio(resid, 1e-8),

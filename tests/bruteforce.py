@@ -1,15 +1,16 @@
 """Independent brute-force reference used by the tests.
 
 Deliberately shares no algorithm with the package: displacements come from
-scipy's expm on the generator matrix, the probe state from direct coherent
+scipy's expm on the generator matrix (dense, or its action on one vector at
+large cutoffs), the probe state from direct coherent
 recursion, statistics from dense ladder arithmetic.  Slow and obvious on
 purpose so a disagreement indicts the package, not the reference.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
 
 def ladder(n):
@@ -28,6 +29,19 @@ def dmat(mu, n):
         a = ladder(n)
         _dcache[key] = expm(mu * a.conj().T - np.conj(mu) * a)
     return _dcache[key]
+
+
+def displace(mu, n, psi):
+    """D(mu) psi on n levels, psi zero-padded: scipy's action of expm, no dense matrix.
+
+    For cutoffs where a dense expm would take seconds; it truncates the
+    generator exactly as dmat does.
+    """
+    roots = np.sqrt(np.arange(1, n))
+    generator = diags([mu * roots, -np.conj(mu) * roots], [-1, 1], format="csr")
+    padded = np.zeros(n, complex)
+    padded[: len(psi)] = psi
+    return expm_multiply(generator, padded)
 
 
 def spac(alpha, n):
@@ -132,45 +146,3 @@ def fisher(phi, delta, alpha, G, n=320):
     dB = 0.5 * (a.conj().T - a) @ ((1 + A) * up - (1 - A) * dn)
     B = Phi * np.sqrt(nrm2)
     return 4 * (np.vdot(dB, dB).real / nrm2 - abs(np.vdot(B, dB)) ** 2 / nrm2**2)
-
-
-def full_tables(halves, dim):
-    """The full-width scaled-Laguerre recurrence, every lane at every step.
-
-    Table b holds t_n(d) of the b-th |mu| at row n, column n + d, and loss row
-    b each column's squared mass past the cutoff.  This is the sequential
-    form the package's banded pass must reproduce bit for bit on the lanes it
-    keeps; it shares the starting values, the step and their operation order
-    with it, but no banding, no precomputed coefficients and no loss sum.
-    """
-    batch = len(halves)
-    tables = np.zeros((batch, dim, dim))
-    loss = np.empty((batch, dim))
-    x = np.array([h**2 for h in halves])[:, None]
-    offsets = np.arange(dim, dtype=np.float64)
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    t_curr = np.zeros((batch, dim))
-    for row, h, x_b in zip(t_curr, halves, x[:, 0]):
-        if h == 0.0:
-            row[0] = 1.0
-        else:
-            row[:] = np.exp(-0.5 * x_b + offsets * math.log(h) - 0.5 * log_factorials)
-    tables[:, 0, :] = t_curr
-    loss[:, 0] = 1.0 - np.einsum("bd,bd->b", t_curr, t_curr)
-    ramp = np.arange(3.0 * dim)
-    t_prev, coef = np.zeros((batch, dim)), np.empty((batch, dim))
-    root_prev, root = np.zeros(dim), np.empty(dim)
-    for n in range(1, dim):
-        np.sqrt(np.multiply(ramp[n : n + dim], n, out=root), out=root)
-        np.subtract(ramp[2 * n - 1 : 2 * n - 1 + dim], x, out=coef)
-        coef *= t_curr
-        t_prev *= root_prev
-        np.subtract(coef, t_prev, out=t_prev)
-        t_prev /= root
-        t_prev, t_curr = t_curr, t_prev
-        root_prev, root = root, root_prev
-        keep = dim - n
-        tables[:, n, n:] = t_curr[:, :keep]
-        past = t_curr[:, keep:]
-        loss[:, n] = np.einsum("bd,bd->b", past, past)
-    return tables, loss

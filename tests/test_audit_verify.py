@@ -122,7 +122,7 @@ class TestVerifyRunner:
         report = verify.run_verify("fast")
         assert report.level == "fast"
         assert report.failures == 0
-        assert len(report.checks) == 15
+        assert len(report.checks) == 16
         assert report.elapsed < 60.0
         for check in report.checks:
             assert check.passed
@@ -142,7 +142,7 @@ class TestVerifyRunner:
         assert "[ok  ]" in text
         assert "FAIL" not in text
         assert "informational" in text
-        assert "0 failure(s) in 15 checks" in text
+        assert "0 failure(s) in 16 checks" in text
         for check in report.checks:
             if check.name.startswith("cross-engine"):
                 assert check.point.startswith("phi=") and f"at {check.point}" in text

@@ -54,9 +54,8 @@ class TestDisplacement:
         safe = op.safe_dim
         assert safe > old_cap
         ref = bf.dmat(complex(mu), dim + 128)
-        # roundoff of both builds grows with the column index (measured
-        # 1.0e-12 and 5.1e-13 here)
-        assert np.max(np.abs(op.matrix[:, :safe] - ref[:dim, :safe])) <= 5e-12
+        # measured 3.3e-16 and 7.1e-16 here
+        assert np.max(np.abs(op.matrix[:, :safe] - ref[:dim, :safe])) <= 2e-15
         assert op.unitarity_defect() <= 1e-10
         past = np.sum(np.abs(ref[dim:, :dim]) ** 2, axis=0)
         assert past[safe - 1] <= fock.SAFE_COLUMN_LOSS < past[safe]
@@ -93,71 +92,115 @@ class TestDisplacement:
         assert op.unitarity_defect() <= 1e-10
 
 
-class TestTables:
-    HALVES = (0.0, 0.025, 0.15, 0.5, 1.3, 2.9)
+class TestSeries:
+    HALVES = (0.0, 0.025, 0.15, 0.75, 1.5, 2.9)
 
-    @pytest.mark.parametrize("dim", [64, 160])
-    def test_batch_rows_equal_batch_of_one(self, dim):
-        bands, loss = fock._tables(self.HALVES, dim)
-        assert len(bands) == len(self.HALVES) and loss.shape == (len(self.HALVES), dim)
-        for h, band, loss_row in zip(self.HALVES, bands, loss):
-            (one,), one_loss = fock._tables([h], dim)
-            width = fock._band_width(h, dim)
-            assert band.shape == one.shape == (width + dim, width) and band.dtype == np.float64
-            assert np.array_equal(band, one)
-            assert np.array_equal(loss_row, one_loss[0])
-            assert not np.any(band[:width])
+    @staticmethod
+    def _pointer(dim):
+        # a pointer whose bulk fills a quarter of the cutoff
+        return fock._spac_amplitudes(PointerParams(r=math.sqrt(dim) / 2.0, theta=0.4), dim)[0]
 
     @pytest.mark.parametrize("dim", [64, 160, 480, 832])
-    @pytest.mark.parametrize("half", [0.0, 0.025, 0.15, 0.75, 1.5, 2.9])
-    def test_bands_equal_the_full_recurrence(self, half, dim):
-        self._assert_band_matches_reference(half, dim)
-        width = fock._band_width(half, dim)
-        if half == 0.0:
-            assert width == 1
-        elif half <= 0.15 or (half <= 1.5 and dim >= 160) or dim >= 480:
-            assert width < dim
+    @pytest.mark.parametrize("half", HALVES)
+    def test_both_signs_match_expm(self, half, dim):
+        # the reference is expm at twice the cutoff; dense at the two small
+        # cutoffs, its action on the vector at the two large ones
+        psi = self._pointer(dim)
+        (up,), (down,) = fock._displace([psi], dim, fock._pad(half, dim), [(0, half)])
+        for sign, got in ((1.0, up[:dim]), (-1.0, down[:dim])):
+            if dim <= 160:
+                ref = bf.dmat(complex(sign * half), 2 * dim)[:dim, :dim] @ psi
+            else:
+                ref = bf.displace(sign * half, 2 * dim, psi)[:dim]
+            assert np.max(np.abs(got - ref)) <= 1e-14
 
-    def test_band_spans_every_lane_near_the_cutoff(self):
-        # |mu|^2 = 144 of 160 levels: no lane's bound falls below the floor
-        assert fock._band_width(12.0, 160) == 160
-        self._assert_band_matches_reference(12.0, 160)
+    def test_block_rows_equal_a_block_of_one(self):
+        # pointers sharing strengths, strengths sharing a pointer, real and
+        # complex rows: each rung is what a block of one computes, bit for bit
+        dim, halves = 96, (0.1, 0.7, 1.3)
+        psis = [fock._spac_amplitudes(PointerParams(r=r, theta=0.3), dim)[0] for r in (0.0, 2.0, 3.5)]
+        pad = fock._pad(max(halves), dim)
+        rungs = [(row, h) for h in halves for row in range(len(psis))][::-1]
+        ups, downs = fock._displace(psis, dim, pad, rungs)
+        for (row, h), up, down in zip(rungs, ups, downs):
+            (one_up,), (one_down,) = fock._displace([psis[row]], dim, pad, [(0, h)])
+            assert np.array_equal(up, one_up) and np.array_equal(down, one_down)
+        columns = np.eye(dim, dim + pad)
+        up, down = fock._series(columns, 1, [(j, 0.7) for j in range(dim)])
+        for j in (0, 17, dim - 1):
+            one_up, one_down = fock._series(columns[j : j + 1], 1, [(0, 0.7)])
+            assert np.array_equal(up[j], one_up[0]) and np.array_equal(down[j], one_down[0])
 
-    @staticmethod
-    def _assert_band_matches_reference(half, dim):
-        # in-band entries are the full-width recurrence's bit for bit, every
-        # dropped entry is below BAND_FLOOR, and the safe block is unchanged
-        (band,), loss = fock._tables([half], dim)
-        (ref,), ref_loss = bf.full_tables([half], dim)
-        width = band.shape[1]
-        rows = np.arange(dim)[:, None]
-        lanes = np.arange(width)
-        inside = rows + lanes < dim
-        columns = np.minimum(rows + lanes, dim - 1)
-        assert np.array_equal(band[width:][inside], ref[rows, columns][inside])
-        assert np.max(np.abs(np.triu(ref, width)), initial=0.0) <= fock.BAND_FLOOR
-        assert fock._safe_dim(loss[0]) == fock._safe_dim(ref_loss[0])
+    def test_block_members_match_the_dense_operator(self):
+        dim = 96
+        psi = fock.spac_state(PointerParams(r=3.0, theta=0.4)).amplitudes[:dim]
+        ups, downs = fock._displace([psi], dim, fock._pad(2.0, dim), [(0, 0.2), (0, 0.7), (0, 2.0)])
+        dense = fock.displacement_operator(0.7, dim).matrix
+        assert np.max(np.abs(ups[1, :dim] - dense @ psi)) <= 1e-14
+        assert np.max(np.abs(downs[1, :dim] - dense.conj().T @ psi)) <= 1e-14
 
-    def test_products_match_the_dense_operator(self):
-        self._assert_products_match((0.7,), 0)
+    @pytest.mark.parametrize("half, dim", [(0.75, 64), (1.5, 160), (2.9, 96)])
+    def test_duhamel_bound_covers_the_truncation_error(self, half, dim):
+        # on every padded basis up to the certified one, the series' columns
+        # are off the infinite basis's (expm far past the pad) by no more than
+        # the bound, plus the series' own roundoff (measured up to 3.5e-15)
+        ref = bf.dmat(complex(half), 512)
+        pads = range(0, fock._pad(half, dim) + 1, 32)
+        bounds = [fock._duhamel_bound(half, dim, pad) for pad in pads]
+        for pad, bound in zip(pads, bounds):
+            # sqrt(N) |mu| sqrt(dim) max_{d >= pad} (mu^2 N)^(d/2) / d!, the max taken over every d
+            size, d = dim + pad, np.arange(pad, dim + pad + 1)
+            terms = 0.5 * d * math.log(half * half * size) - np.array([math.lgamma(k + 1.0) for k in d])
+            assert bound == pytest.approx(math.sqrt(size * dim) * half * math.exp(terms.max()), rel=1e-12)
+        assert bounds[-1] < np.finfo(float).eps <= bounds[-2]
+        assert any(1e-12 < b < 1.0 for b in bounds)  # the comparison bites somewhere
+        for pad, bound in zip(pads, bounds):
+            size = dim + pad
+            up, _ = fock._series(np.eye(dim, size), 1, [(j, half) for j in range(dim)])
+            error = np.sqrt(np.max(np.sum((up - ref[:size, :dim].T) ** 2, axis=1)))
+            assert error <= bound + 1e-14
 
-    def test_products_of_a_batch_member_match_the_dense_operator(self):
-        # a member narrower than its batch is a view with the batch's row pitch
-        assert fock._band_width(0.7, 96) < fock._band_width(2.0, 96)
-        self._assert_products_match((0.2, 0.7, 2.0), 1)
+    @pytest.mark.parametrize("z", [1e-12, 1e-3, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0])
+    def test_miller_weights_match_scipy(self, z):
+        # relative to the largest |J_k(z)|: near its zeros J_k has no relative
+        # accuracy to speak of, and scipy's jv is itself off by a few eps there
+        from scipy.special import jv
 
-    @staticmethod
-    def _assert_products_match(batch, index):
-        psi = fock.spac_state(PointerParams(r=3.0, theta=0.4)).amplitudes[:96]
-        bands, _ = fock._tables(batch, 96)
-        assert bands[index].shape[1] < 96
-        up, down = fock._apply(bands[index], psi)
-        dense = fock.displacement_operator(0.7, 96).matrix
-        assert np.max(np.abs(up - dense @ psi)) <= 1e-14
-        assert np.max(np.abs(down - dense.conj().T @ psi)) <= 1e-14
+        weights = fock._chebyshev_weights(z)
+        bessel = np.array(weights)
+        bessel[1:] /= 2.0
+        ref = jv(np.arange(len(bessel)), z)
+        assert np.max(np.abs(bessel - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # past k = z + 2 J_k falls monotonically, with no zeros, and each
+        # weight holds its relative precision there (measured up to 9.5e-15)
+        tail = np.arange(len(bessel)) >= z + 2.0
+        assert np.all(np.abs(bessel - ref)[tail] <= 2e-14 * np.abs(ref)[tail])
+        # the dropped terms are below float eps together (DLMF 10.14.4)
+        dropped = 2.0 * np.sum(np.abs(jv(np.arange(len(bessel), len(bessel) + 64), z)))
+        assert dropped <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("z", [90.0, 300.0, 700.0])
+    def test_miller_weights_obey_jacobi_anger(self, z):
+        # past z = 20 scipy's jv drifts by more than eps; the Jacobi-Anger
+        # sums cos z = J_0 - 2 J_2 + 2 J_4 - ... and sin z = 2 J_1 - 2 J_3 + ...
+        # use none of the normalization the weights were built with
+        weights = fock._chebyshev_weights(z)
+        signs = np.where(np.arange(len(weights)) % 4 < 2, 1.0, -1.0)
+        terms = signs * weights
+        assert abs(math.fsum(terms[0::2]) - math.cos(z)) <= 1e-14
+        assert abs(math.fsum(terms[1::2]) - math.sin(z)) <= 1e-14
+
+    def test_mass_past_the_cutoff_rejects_a_rung(self, monkeypatch):
+        # with the guard bands silenced, the mass of D(+-1.5) psi past cutoff
+        # 32 (about 1e-7 for r = 2) still rejects the rung; cutoff 96 passes
+        monkeypatch.setattr(fock, "_band_mass", lambda v: 0.0)
+        pointer = PointerParams(r=2.0, theta=0.3)
+        assert fock._spac_amplitudes(pointer, 32)[1] <= fock.TAIL_TOL
+        assert fock._branches(pointer, 3.0, 32) is None
+        assert fock._branches(pointer, 3.0, 96) is not None
 
     def test_warmed_slab_equals_cold_single_calls(self):
-        # a slab mixes cutoffs, strengths sharing a table, and pointers
+        # a slab mixes cutoffs, strengths sharing a series, and pointers
         # sharing a strength; every entry must be what a cold call computes
         keys = [
             (PointerParams(r=r, theta=0.3), strength)
@@ -248,11 +291,11 @@ class TestTruncationPolicy:
     def test_cap_reported_when_unreachable(self, monkeypatch):
         # At r = 70 the pointer's bulk (about r^2 = 4900 photons) lies past
         # HARD_DIM_CAP, so the pointer tail rejects the capped first rung
-        # before any amplitude or displacement table is built; a reach of
+        # before any amplitude or displacement series runs; a reach of
         # (strength/2)^2 photons past the cap rejects it before the
         # displacement.  Either way: a typed error in bounded memory.
         built = []
-        monkeypatch.setattr(fock, "_tables", lambda *key: built.append(key))
+        monkeypatch.setattr(fock, "_series", lambda *key: built.append(key))
         for r, strength in ((70.0, 0.9), (1e200, 0.9), (2.0, 1e200)):
             ptr, cpl = PointerParams(r=r), Coupling(strength=strength)
             assert fock.TruncationPolicy().starting_dim(ptr, strength) == fock.HARD_DIM_CAP

@@ -1,6 +1,6 @@
 """One certified cutoff ladder per parameter point, whatever is read from it,
 one cached rung per (pointer, strength, cutoff), whatever selection reads it,
-and one displacement table pass per cutoff and chunk of a warmed slab."""
+and one displacement series per cutoff and padded size in a warmed slab."""
 
 import math
 import tracemalloc
@@ -99,12 +99,12 @@ def test_qfi_displaces_once_per_rung(monkeypatch):
     # the exact strength derivative is a read of the bundle's branches: no
     # displacement beyond the bundle's own and no neighbour states
     tried = _count_calls(monkeypatch, "_rung")
-    passes = _count_calls(monkeypatch, "_tables")
+    passes = _count_calls(monkeypatch, "_series")
     neighbours = _count_calls(monkeypatch, "assemble_at_cutoff")
     metrology.qfi(SEL, PTR, CPL)
     assert len(tried) == 1
     assert len(passes) == len(tried)
-    assert [len(halves) for halves, _ in passes] == [1]
+    assert [len(rungs) for _, _, rungs in passes] == [1]
     assert neighbours == []
 
 
@@ -112,7 +112,7 @@ def test_queries_at_one_point_share_one_rung(monkeypatch):
     # the pointer and its displaced branches are cached per (pointer,
     # strength, cutoff): repeated and mixed queries at a point build them once
     built = _count_calls(monkeypatch, "_spac_amplitudes")
-    passes = _count_calls(monkeypatch, "_tables")
+    passes = _count_calls(monkeypatch, "_series")
     for _ in range(2):
         for call in QUERIES.values():
             call()
@@ -134,48 +134,69 @@ def test_phi_family_strength_sweep_displaces_once_per_strength(monkeypatch, name
     spec = replace(sweep.preset(name), count=10)
     assert spec.family == "phi" and len(spec.family_values) == 4
     _small_cache(monkeypatch, 6, 160)
-    passes = _count_calls(monkeypatch, "_tables")
+    passes = _count_calls(monkeypatch, "_displace")
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    halves = [h for batch, _ in passes for h in batch]
+    halves = [h for _, _, _, rungs in passes for _, h in rungs]
     assert sorted(halves) == sorted(g / 2.0 for g in spec.axis_values())
 
 
+def _slab_series(monkeypatch):
+    """Records each warmed slab as the list of (cutoff, pad, pointer rows, strengths/2) of its series."""
+    slabs = []
+    fill, displace = fock._fill, fock._displace
+
+    def filled(rungs):
+        slabs.append([])
+        return fill(rungs)
+
+    def displaced(psis, dim, pad, rungs):
+        slabs[-1].append((dim, pad, len(psis), [h for _, h in rungs]))
+        return displace(psis, dim, pad, rungs)
+
+    monkeypatch.setattr(fock, "_fill", filled)
+    monkeypatch.setattr(fock, "_displace", displaced)
+    return slabs
+
+
+def _assert_one_series_per_block(slabs):
+    # within a slab, each (cutoff, padded size) block runs one series, and
+    # every strength in it has that block's pad
+    for slab in slabs:
+        blocks = [(dim, pad) for dim, pad, _, _ in slab]
+        assert len(blocks) == len(set(blocks))
+        for dim, pad, _, halves in slab:
+            assert all(fock._pad(h, dim) == pad for h in halves)
+
+
 @pytest.mark.parametrize("name", ["fig3a", "fig4"])
-def test_strength_sweep_runs_one_table_pass_per_cutoff_chunk(monkeypatch, name):
-    # a warmed slab builds its strengths' tables in batches: one recurrence
-    # pass per cutoff and per chunk, not one per strength, and each chunk as
-    # large as the chunk bound lets it be
+def test_strength_sweep_runs_one_series_per_block(monkeypatch, name):
+    # a warmed slab shares each series across the strengths of its block:
+    # one series per cutoff and padded size, not one per strength
     spec = replace(sweep.preset(name), count=21)
-    passes = _count_calls(monkeypatch, "_tables")
+    slabs = _slab_series(monkeypatch)
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    per_dim: dict[int, list[list[float]]] = {}
-    for batch, dim in passes:
-        per_dim.setdefault(dim, []).append(list(batch))
-    for dim, batches in per_dim.items():
-        halves = [h for batch in batches for h in batch]
-        assert halves == sorted(halves)
-        for batch, following in zip(batches, batches[1:]):
-            # the next strength would not have fit in this pass
-            width = fock._band_width(following[0], dim)
-            assert fock._pass_bytes(len(batch) + 1, width, dim) > fock.TABLE_CHUNK_BYTES
-    assert sum(len(batches) for batches in per_dim.values()) < spec.count
-    assert sorted(h for batch, _ in passes for h in batch) == sorted(g / 2.0 for g in spec.axis_values())
+    _assert_one_series_per_block(slabs)
+    series = [entry for slab in slabs for entry in slab]
+    assert len(series) < spec.count
+    assert sorted(h for *_, halves in series for h in halves) == sorted(g / 2.0 for g in spec.axis_values())
 
 
 @pytest.mark.parametrize("name", ["fig3b", "fig5"])
-def test_r_axis_sweep_builds_each_table_once(monkeypatch, name):
+def test_r_axis_sweep_runs_one_series_per_block(monkeypatch, name):
     # neighbouring radii are new pointers, so each needs its own rung, but
-    # they share a strength and mostly a cutoff: the warmed slab builds each
-    # (strength/2, cutoff) table once and applies it to every such pointer
+    # they share a strength and mostly a cutoff: the warmed slab runs them
+    # as the rows of one series per (cutoff, padded size) block
     spec = replace(sweep.preset(name), count=41)
     assert spec.axis == "r"
-    passes = _count_calls(monkeypatch, "_tables")
+    slabs = _slab_series(monkeypatch)
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
-    built = [(h, dim) for batch, dim in passes for h in batch]
-    assert len(built) == len(set(built)) < len(rows) // 2
+    _assert_one_series_per_block(slabs)
+    series = [entry for slab in slabs for entry in slab]
+    assert len(series) < len(rows) // 2
+    assert max(count for _, _, count, _ in series) > 1
 
 
 def test_bundle_vectors_are_read_only():
@@ -213,34 +234,3 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert 0 < freed <= limit
     assert fock._RUNGS.used == 0 and len(fock._RUNGS) == 0
-
-
-def test_table_passes_stay_inside_the_chunk_bound(monkeypatch):
-    # one recurrence pass allocates at most TABLE_CHUNK_BYTES, bands,
-    # coefficient rows, roots and numpy's buffers included, or what a single
-    # table needs where one alone is larger; _pass_bytes, which sizes the
-    # chunks, bounds what each pass allocates
-    passes = []
-    tables = fock._tables
-
-    def measured(halves, dim):
-        fock._log_factorials(dim)  # shared across passes, not allocated by this one
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = tables(halves, dim)
-        passes.append((list(halves), dim, tracemalloc.get_traced_memory()[1] - before))
-        return out
-
-    monkeypatch.setattr(fock, "_tables", measured)
-    tracemalloc.start()
-    try:
-        sweep.run_sweep(replace(sweep.preset("fig3a"), count=41))
-        fock.transition_moment(SEL, PointerParams(r=18.0), CPL)
-    finally:
-        tracemalloc.stop()
-    assert max(dim for _, dim, _ in passes) > 512
-    assert any(len(batch) > 1 for batch, _, _ in passes)
-    for batch, dim, peak in passes:
-        width = max(fock._band_width(h, dim) for h in batch)
-        assert peak <= fock._pass_bytes(len(batch), width, dim)
-        assert len(batch) == 1 or peak <= fock.TABLE_CHUNK_BYTES
