@@ -92,7 +92,11 @@ class TestDisplacement:
         assert op.unitarity_defect() <= 1e-10
 
 
-class TestSeries:
+class TestTables:
+    """D(+-|mu|) psi from the series kernel: against expm, a block against
+    blocks of one, and against the dense operator.  The series replaced the
+    banded displacement tables, and these cases keep the tables' names."""
+
     HALVES = (0.0, 0.025, 0.15, 0.75, 1.5, 2.9)
 
     @staticmethod
@@ -102,7 +106,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("dim", [64, 160, 480, 832])
     @pytest.mark.parametrize("half", HALVES)
-    def test_both_signs_match_expm(self, half, dim):
+    def test_bands_equal_the_full_recurrence(self, half, dim):
         # the reference is expm at twice the cutoff; dense at the two small
         # cutoffs, its action on the vector at the two large ones
         psi = self._pointer(dim)
@@ -114,10 +118,24 @@ class TestSeries:
                 ref = bf.displace(sign * half, 2 * dim, psi)[:dim]
             assert np.max(np.abs(got - ref)) <= 1e-14
 
-    def test_block_rows_equal_a_block_of_one(self):
+    def test_band_spans_every_lane_near_the_cutoff(self):
+        # |mu|^2 = 144 of 160 levels: the pad is eight cutoffs wide, and the
+        # whole padded vector is expm's action on a basis twice its size
+        dim, half = 160, 12.0
+        assert not fock._reaches(half, dim)
+        pad = fock._pad(half, dim)
+        assert pad >= 8 * dim
+        psi = self._pointer(dim)
+        (up,), (down,) = fock._displace([psi], dim, pad, [(0, half)])
+        for sign, got in ((1.0, up), (-1.0, down)):
+            ref = bf.displace(sign * half, 2 * (dim + pad), psi)[: dim + pad]
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [64, 160])
+    def test_batch_rows_equal_batch_of_one(self, dim):
         # pointers sharing strengths, strengths sharing a pointer, real and
         # complex rows: each rung is what a block of one computes, bit for bit
-        dim, halves = 96, (0.1, 0.7, 1.3)
+        halves = (0.1, 0.7, 1.3)
         psis = [fock._spac_amplitudes(PointerParams(r=r, theta=0.3), dim)[0] for r in (0.0, 2.0, 3.5)]
         pad = fock._pad(max(halves), dim)
         rungs = [(row, h) for h in halves for row in range(len(psis))][::-1]
@@ -131,14 +149,44 @@ class TestSeries:
             one_up, one_down = fock._series(columns[j : j + 1], 1, [(0, 0.7)])
             assert np.array_equal(up[j], one_up[0]) and np.array_equal(down[j], one_down[0])
 
-    def test_block_members_match_the_dense_operator(self):
+    def test_products_match_the_dense_operator(self):
+        self._assert_products_match((0.7,), 0)
+
+    def test_products_of_a_batch_member_match_the_dense_operator(self):
+        # a member of a block padded for its largest strength
+        assert fock._pad(0.7, 96) < fock._pad(2.0, 96)
+        self._assert_products_match((0.2, 0.7, 2.0), 1)
+
+    @staticmethod
+    def _assert_products_match(halves, index):
         dim = 96
         psi = fock.spac_state(PointerParams(r=3.0, theta=0.4)).amplitudes[:dim]
-        ups, downs = fock._displace([psi], dim, fock._pad(2.0, dim), [(0, 0.2), (0, 0.7), (0, 2.0)])
-        dense = fock.displacement_operator(0.7, dim).matrix
-        assert np.max(np.abs(ups[1, :dim] - dense @ psi)) <= 1e-14
-        assert np.max(np.abs(downs[1, :dim] - dense.conj().T @ psi)) <= 1e-14
+        ups, downs = fock._displace([psi], dim, fock._pad(max(halves), dim), [(0, h) for h in halves])
+        dense = fock.displacement_operator(halves[index], dim).matrix
+        assert np.max(np.abs(ups[index, :dim] - dense @ psi)) <= 1e-14
+        assert np.max(np.abs(downs[index, :dim] - dense.conj().T @ psi)) <= 1e-14
 
+    def test_warmed_slab_equals_cold_single_calls(self):
+        # a slab mixes cutoffs, strengths sharing a series, and pointers
+        # sharing a strength; every entry must be what a cold call computes
+        keys = [
+            (PointerParams(r=r, theta=0.3), strength)
+            for r in (0.0, 2.0, 5.0)
+            for strength in (0.0, 0.3, 1.7)
+        ]
+        assert fock.warm(keys) == len(keys)
+        rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
+        warmed = [fock._RUNGS.get(rung) for rung in rungs]
+        fock._RUNGS.clear()
+        for rung, hot in zip(rungs, warmed):
+            cold = fock._branches(*rung)
+            fock._RUNGS.clear()
+            assert hot[1] == cold[1]
+            for a, b in zip(hot[::2] + hot[3:], cold[::2] + cold[3:]):
+                assert np.array_equal(a, b)
+
+
+class TestSeries:
     @pytest.mark.parametrize("half, dim", [(0.75, 64), (1.5, 160), (2.9, 96)])
     def test_duhamel_bound_covers_the_truncation_error(self, half, dim):
         # on every padded basis up to the certified one, the series' columns
@@ -198,25 +246,6 @@ class TestSeries:
         assert fock._spac_amplitudes(pointer, 32)[1] <= fock.TAIL_TOL
         assert fock._branches(pointer, 3.0, 32) is None
         assert fock._branches(pointer, 3.0, 96) is not None
-
-    def test_warmed_slab_equals_cold_single_calls(self):
-        # a slab mixes cutoffs, strengths sharing a series, and pointers
-        # sharing a strength; every entry must be what a cold call computes
-        keys = [
-            (PointerParams(r=r, theta=0.3), strength)
-            for r in (0.0, 2.0, 5.0)
-            for strength in (0.0, 0.3, 1.7)
-        ]
-        assert fock.warm(keys) == len(keys)
-        rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
-        warmed = [fock._RUNGS.get(rung) for rung in rungs]
-        fock._RUNGS.clear()
-        for rung, hot in zip(rungs, warmed):
-            cold = fock._branches(*rung)
-            fock._RUNGS.clear()
-            assert hot[1] == cold[1]
-            for a, b in zip(hot[::2] + hot[3:], cold[::2] + cold[3:]):
-                assert np.array_equal(a, b)
 
 
 class TestPointerVector:
