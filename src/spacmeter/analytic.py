@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import (
     Coupling,
@@ -60,6 +61,7 @@ def mean_lowering(pointer: PointerParams) -> complex:
     return pointer.norm_factor_sq * pointer.alpha * (2.0 + pointer.r * pointer.r)
 
 
+@lru_cache(maxsize=64)
 def real_axis_kernel(
     pointer: PointerParams, nu: float
 ) -> tuple[complex, complex, complex, complex]:
@@ -68,6 +70,8 @@ def real_axis_kernel(
     K0 and K1 are the normal-ordered products over <alpha|alpha + nu>, with
     f = 1 + (alpha* - nu)(alpha + nu) and the envelope exp(-nu^2/2 + c nu),
     c = alpha* - alpha; the slopes differentiate gamma^2 f exp(-nu^2/2 + c nu).
+    Pure, so memoized: the points of a grid or sweep that share a pointer
+    and a strength come in runs, so a few dozen entries catch every reuse.
     """
     if abs(nu) > FLUSH_SHIFT:
         return 0j, 0j, 0j, 0j

@@ -167,7 +167,7 @@ def run_audit() -> list[AuditRecord]:
 
         bundle = fock.branch_bundle(sel, pointer, coupling)
         o_dx, o_dp = bundle.kept_shift()
-        o_norm = bundle.kept.norm_sq / 2.0
+        o_norm = bundle.norm_sq / 2.0
 
         records.append(AuditRecord(pt, "position_shift", t_dx, closed.position_shift, o_dx))
         records.append(AuditRecord(pt, "momentum_shift", t_dp, closed.momentum_shift, o_dp))

@@ -10,14 +10,23 @@ past the cutoff, their guard bands and the kept combination's guard band all
 fall below TAIL_TOL, or raises TruncationInsufficient at HARD_DIM_CAP.  Every
 oracle observable of the point is a read of the BranchBundle it returns.
 
+The selection enters only through the weak value A.  Once a rung's gates
+pass, `_forms` computes what no selection changes: with S+- = up +- down,
+the 2x2 blocks that the reads use of the Gram matrix of S+-, a S+-, a^2 S+-
+and G S+-, two of the same on the guard band, and the ladder means of psi,
+up and down.  The kept combination is B = S+ + A S- and its twin
+C = A S+ + S-, so each selection's norm, kept gate, moments, transition
+value and Fisher information are 2x2 contractions of those forms, not
+walks of the vectors.
+
 The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
 Chebyshev series (`_series`) gives both signs from the same ladder actions,
 on a basis padded until a Duhamel bound (`_pad`) puts the truncated
-generator's error below float eps.  A rung's selection-independent part is
-cached per (pointer, strength, cutoff); `warm` fills the cache a slab at a
-time, one series per block of one cutoff and padding, and a cold rung (a
-block of one) is bit for bit a warmed one.  `displacement_operator` applies
-the series to the identity's columns.
+generator's error below float eps.  A rung's selection-independent part,
+its forms included, is cached per (pointer, strength, cutoff); `warm` fills
+the cache a slab at a time, one series per block of one cutoff and padding,
+and a cold rung (a block of one) is bit for bit a warmed one.
+`displacement_operator` applies the series to the identity's columns.
 """
 
 from __future__ import annotations
@@ -50,10 +59,21 @@ GUARD_BAND = 8
 HARD_DIM_CAP = 4096
 
 # The rung cache (_branches) holds at most this many bytes: each entry's
-# vectors plus _ENTRY_OVERHEAD for its key and tuple, so that rejected rungs
-# (cached as None) count too.  warm fills at most half of it.
+# vectors and forms plus _ENTRY_OVERHEAD for its key and tuple, so that
+# rejected rungs (cached as None) count too.  warm fills at most half of it.
 RUNG_CACHE_BYTES = 16 << 20
 _ENTRY_OVERHEAD = 1024
+
+# A rung's forms (_forms) are one read-only complex array.  With S = (S+, S-),
+# its first eight 2x2 blocks [i, j] are <F S_i | F' S_j> for these ladder
+# words (F, F'), G = adag - a: (1, 1), (1, a), (1, a^2), (a, a), (1, G) and
+# (G, G) of the Gram matrix, then (1, 1) and (G, G) on the last GUARD_BAND
+# levels.  Its last nine entries are (<a>, <a^2>, <n>) of psi, up and down.
+_NORM, _LOWER, _LOWER2, _NUMBER, _SLOPE, _SPEED, _EDGE, _EDGE_SPEED = range(8)
+_FORMS_BYTES = 16 * (8 * 4 + 9)
+# The kept combination B = S+ + A S- and its twin C = A S+ + S-, as rows of a
+# bundle's coefficients ((1, A), (A, 1)).
+_B, _C = 0, 1
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -303,7 +323,7 @@ def _spac_amplitudes(pointer: PointerParams, dim: int) -> tuple[np.ndarray, floa
         - 0.5 * pointer.r * pointer.r
         + (n - 1.0) * math.log(pointer.r)
         + 0.5 * np.log(n)
-        - 0.5 * _log_factorials(dim)[:-1]
+        - 0.5 * _log_factorials(dim + 64)[: dim - 1]
     )
     v[1:] = np.exp(log_mag) * np.exp(1j * (n - 1.0) * pointer.theta)
     norm_sq = float(np.vdot(v, v).real)
@@ -320,15 +340,12 @@ def _spac_tail(pointer: PointerParams, dim: int) -> float:
     on the remainder holds.
     """
     r_sq = pointer.r * pointer.r
-    base = math.log(pointer.norm_factor_sq) - r_sq
     log_r_sq = math.log(r_sq)
-    total = 0.0
-    log_w = 0.0
-    for k in range(dim, dim + 64):
-        log_w = base + (k - 1.0) * log_r_sq + math.log(k) - math.lgamma(k + 1.0)
-        total += math.exp(log_w)
+    k = np.arange(dim, dim + 64.0)
+    terms = np.exp(math.log(pointer.norm_factor_sq) - r_sq + (k - 1.0) * log_r_sq + np.log(k)
+                   - _log_factorials(dim + 64)[dim:])
     ratio = r_sq / (dim + 63.0)
-    return total + math.exp(log_w) * ratio / (1.0 - ratio)
+    return float(np.sum(terms) + terms[-1] * ratio / (1.0 - ratio))
 
 
 def _cutoffs(pointer: PointerParams, strength: float, policy: TruncationPolicy):
@@ -384,9 +401,8 @@ def _ladder_means(v: np.ndarray) -> tuple[complex, complex, float]:
     return mean_a, mean_a2, mean_n
 
 
-def _quad_moments(v: np.ndarray, sigma: float) -> tuple[float, float, float, float, float]:
-    """(meanX, meanP, meanX2, meanP2, meanN) for a normalized vector."""
-    mean_a, mean_a2, mean_n = _ladder_means(v)
+def _quad_moments(mean_a: complex, mean_a2: complex, mean_n: float, sigma: float):
+    """(meanX, meanP, meanX2, meanP2, meanN) from a normalized state's ladder means."""
     mean_x = 2.0 * sigma * mean_a.real
     mean_p = mean_a.imag / sigma
     mean_x2 = sigma * sigma * (2.0 * mean_a2.real + 2.0 * mean_n + 1.0)
@@ -407,15 +423,51 @@ def _pointer_moments(mean_x, mean_p, mean_x2, mean_p2, mean_n) -> PointerMoments
 def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMoments:
     """Quadrature statistics of a normalized state for the given pointer width."""
     v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
-    return _pointer_moments(*_quad_moments(v, pointer.sigma))
+    return _pointer_moments(*_quad_moments(*_ladder_means(v), pointer.sigma))
+
+
+def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The forms every selection of a rung reads, from S+- = up +- down.
+
+    The words F S, F = (1, a, a^2, G), are tridiagonal ladder actions on the
+    truncated basis, as _ladder_action forms them; their Gram matrix is one
+    complex matmul, and the means are _ladder_means of each vector.
+    """
+    roots = _roots(len(up))
+    words = np.zeros((4, 2, len(up)), dtype=np.complex128)
+    words[0] = up + down, up - down
+    words[1, :, :-1] = roots * words[0, :, 1:]
+    words[2, :, :-1] = roots * words[1, :, 1:]
+    words[3, :, 1:] = roots * words[0, :, :-1]
+    words[3] -= words[1]
+    flat = words.reshape(8, -1)
+    gram = (flat.conj() @ flat.T).reshape(4, 2, 4, 2)
+    edge = flat[[0, 1, 6, 7], -GUARD_BAND:]
+    band = (edge.conj() @ edge.T).reshape(2, 2, 2, 2)
+    forms = np.concatenate([
+        gram[[0, 0, 0, 1, 0, 3], :, [0, 1, 2, 1, 3, 3], :].ravel(),
+        band[[0, 1], :, [0, 1], :].ravel(),
+        np.ravel([_ladder_means(v) for v in (psi, up, down)]),
+    ])
+    forms.flags.writeable = False
+    return forms
+
+
+def _contract(forms: list, block: int, x, y) -> complex:
+    """x^H M y for the 2x2 block M of a rung's forms (as a list) and coefficient pairs x, y."""
+    m00, m01, m10, m11 = forms[4 * block : 4 * block + 4]
+    return x[0].conjugate() * (m00 * y[0] + m01 * y[1]) + x[1].conjugate() * (m10 * y[0] + m11 * y[1])
 
 
 @dataclass(frozen=True, eq=False)
 class BranchBundle:
     """A point's pointer state and both displaced branches at its certified cutoff.
 
-    Every oracle observable of the point is a read of it.  `kept` is None
-    only where the selection has no weak value (phi = pi).
+    Every oracle observable of the point is a read of it: of its rung's
+    ladder means, or a 2x2 contraction of its rung's forms with the
+    coefficients of the kept combination B = S+ + A S- and its twin
+    C = A S+ + S-.  coeffs and norm_sq are None only where the selection has
+    no weak value (phi = pi), and so is `kept`.
     """
 
     sel: SelectionParams
@@ -426,31 +478,54 @@ class BranchBundle:
     down: np.ndarray      # D(-strength/2) psi
     n_max: int
     tail_mass: float      # pointer tail plus the kept state's guard-band mass
-    kept: AssembledState | None
+    forms: list           # the rung's forms
+    coeffs: tuple | None  # ((1, A), (A, 1)): B and C in the basis (S+, S-)
+    norm_sq: float | None  # N = <B|B>
+
+    def _read(self, block: int, x: int, y: int) -> complex:
+        return _contract(self.forms, block, self.coeffs[x], self.coeffs[y])
+
+    def _moments(self, vector: int) -> tuple[float, float, float, float, float]:
+        """_quad_moments of psi (0), up (1) or down (2) from the rung's means."""
+        mean_a, mean_a2, mean_n = self.forms[32 + 3 * vector : 35 + 3 * vector]
+        return _quad_moments(mean_a, mean_a2, mean_n.real, self.pointer.sigma)
+
+    @cached_property
+    def kept(self) -> AssembledState | None:
+        """The normalized kept combination, built on first access from the same N."""
+        if self.coeffs is None:
+            return None
+        a, norm_sq = weak_value(self.sel), self.norm_sq
+        combo = ((1.0 + a) * self.up + (1.0 - a) * self.down) / math.sqrt(norm_sq)
+        return AssembledState(
+            state=FockVector(amplitudes=combo, n_max=self.n_max, tail_mass=self.tail_mass),
+            norm_sq=norm_sq,
+            success_probability=postselection_probability(self.sel) * norm_sq / 4.0,
+        )
 
     @cached_property
     def base(self) -> PointerMoments:
-        return moments(self.psi, self.pointer)
+        return _pointer_moments(*self._moments(0))
 
     @cached_property
     def kept_moments(self) -> PointerMoments:
-        return moments(self.kept.state, self.pointer)
+        """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
+        norm_sq = self.norm_sq
+        return _pointer_moments(*_quad_moments(
+            self._read(_LOWER, _B, _B) / norm_sq,
+            self._read(_LOWER2, _B, _B) / norm_sq,
+            self._read(_NUMBER, _B, _B).real / norm_sq,
+            self.pointer.sigma,
+        ))
 
     def kept_shift(self) -> tuple[float, float]:
         """Kept minus initial pointer means, (position, momentum)."""
         kept, base = self.kept_moments, self.base
         return kept.position_mean - base.position_mean, kept.momentum_mean - base.momentum_mean
 
-    @cached_property
-    def weighted(self) -> np.ndarray:
-        """C, the kept combination's observable-weighted twin; sigma_x flips the reverse branch."""
-        a = weak_value(self.sel)
-        return (1.0 + a) * self.up - (1.0 - a) * self.down
-
     def transition(self) -> complex:
-        """<B|C> / <B|B>, B the kept combination and C its observable-weighted twin."""
-        kept = self.kept
-        return complex(np.vdot(kept.state.amplitudes, self.weighted)) / math.sqrt(kept.norm_sq)
+        """<B|C> / <B|B>, C the observable-weighted twin of B: sigma_x flips the reverse branch."""
+        return self._read(_NORM, _B, _C) / self.norm_sq
 
     def fisher(self) -> float:
         """Fisher information of the normalized kept state in the strength g, exactly.
@@ -458,12 +533,11 @@ class BranchBundle:
         d/dg D(+-g/2) = +-(1/2) G D(+-g/2) with G = adag - a, so the kept combination
         B has dB = G C / 2, and F = 4 (<dB|dB> / N - |<B|dB>|^2 / N^2), N = <B|B>.
         """
-        kept, c = self.kept, self.weighted
-        g_c = _ladder_action(c, lower=False) - _ladder_action(c, lower=True)  # 2 dB
-        if _band_mass(g_c) > 4.0 * kept.norm_sq * TAIL_TOL:
+        norm_sq = self.norm_sq
+        if self._read(_EDGE_SPEED, _C, _C).real > 4.0 * norm_sq * TAIL_TOL:  # 2 dB on the guard band
             raise TruncationInsufficient(f"strength derivative past the guard band, n_max={self.n_max}")
-        overlap = complex(np.vdot(kept.state.amplitudes, g_c))
-        return (float(np.vdot(g_c, g_c).real) - abs(overlap) ** 2) / kept.norm_sq
+        overlap = self._read(_SLOPE, _B, _C)
+        return (self._read(_SPEED, _C, _C).real - abs(overlap) ** 2 / norm_sq) / norm_sq
 
     @cached_property
     def unconditioned(self) -> PointerMoments:
@@ -475,8 +549,7 @@ class BranchBundle:
         phase = cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
         w_up = abs(math.cos(sel.phi / 2.0) + phase) ** 2 / 2.0
         w_dn = abs(math.cos(sel.phi / 2.0) - phase) ** 2 / 2.0
-        m_up = _quad_moments(self.up, self.pointer.sigma)
-        m_dn = _quad_moments(self.down, self.pointer.sigma)
+        m_up, m_dn = self._moments(1), self._moments(2)
         return _pointer_moments(*(w_up * u + w_dn * d for u, d in zip(m_up, m_dn)))
 
     def unconditioned_shift(self) -> float:
@@ -536,11 +609,12 @@ def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
 def _fill(rungs) -> dict:
     """Entries for (pointer, strength, cutoff) keys, computing the uncached ones as one slab.
 
-    An entry is (psi, tail, up, down) with read-only vectors, or None at the
-    first gate that rejects the cutoff: the pointer tail, the reach, either
-    padded branch's mass past the cutoff and both guard bands.  Each block of
-    one cutoff and one pad runs one series, its distinct pointers as rows and
-    each (pointer, strength/2 >= 0) as a rung.  New entries are cached in order.
+    An entry is (psi, tail, up, down, forms) with read-only vectors and
+    forms, or None at the first gate that rejects the cutoff: the pointer
+    tail, the reach, either padded branch's mass past the cutoff and both
+    guard bands.  Each block of one cutoff and one pad runs one series, its
+    distinct pointers as rows and each (pointer, strength/2 >= 0) as a rung.
+    New entries are cached in order.
     """
     order = list(dict.fromkeys(rungs))
     found, pointers, blocks = {}, {}, {}
@@ -565,7 +639,8 @@ def _fill(rungs) -> dict:
             up, down = up[:dim].copy(), down[:dim].copy()
             if max(past, _band_mass(up), _band_mass(down)) <= TAIL_TOL:
                 up.flags.writeable = down.flags.writeable = False
-                found[key] = (*pointers[key[0], dim], up, down)
+                psi, tail = pointers[key[0], dim]
+                found[key] = (psi, tail, up, down, _forms(psi, up, down))
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -596,7 +671,7 @@ def warm(keys) -> int:
         if key is not None:
             pointer, strength = key
             dim = _first_cutoff(pointer, strength)
-            room -= _ENTRY_OVERHEAD + 3 * dim * np.dtype(np.complex128).itemsize
+            room -= _ENTRY_OVERHEAD + _FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize
             if room < 0 and rungs:
                 break
             rungs.append((pointer, strength, dim))
@@ -609,25 +684,23 @@ def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
     """The bundle at one cutoff, or None at the first gate that rejects it.
 
     The selection-independent gates run in _branches; after them, where the
-    selection has a weak value, the normalized kept combination's guard band.
+    selection has a weak value, its contraction of the rung's forms and the
+    kept combination's guard band over N.
     """
     found = _branches(pointer, coupling.strength, dim)
     if found is None:
         return None
-    psi, tail, up, down = found
-    kept = None
+    psi, tail, up, down, forms = found
+    forms, coeffs, norm_sq = forms.tolist(), None, None
     if weak is not None:
-        combo, norm_sq = _kept_combination(weak, up, down)
-        out_band = _band_mass(combo)
+        coeffs = ((1.0, weak), (weak, 1.0))
+        b = coeffs[_B]
+        norm_sq = _contract(forms, _NORM, b, b).real
+        out_band = _contract(forms, _EDGE, b, b).real / norm_sq
         if out_band > TAIL_TOL:
             return None
         tail += out_band
-        kept = AssembledState(
-            state=FockVector(amplitudes=combo, n_max=dim, tail_mass=tail),
-            norm_sq=norm_sq,
-            success_probability=postselection_probability(sel) * norm_sq / 4.0,
-        )
-    return BranchBundle(sel, pointer, coupling, psi, up, down, dim, tail, kept)
+    return BranchBundle(sel, pointer, coupling, psi, up, down, dim, tail, forms, coeffs, norm_sq)
 
 
 def _ladder(sel, pointer, coupling, weak, policy: TruncationPolicy) -> BranchBundle:

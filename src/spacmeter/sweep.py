@@ -8,10 +8,11 @@ truncation certificate (cutoff and tail mass), and an error flag.  Rows are
 emitted in grid order; points that share a pointer and a strength are
 evaluated back to back, so that they share fock's cached rungs.  The
 grid's distinct (pointer, strength) keys go to fock.warm in slabs, which
-builds each slab's first rungs with one batched displacement pass per
-cutoff and per chunk of strengths; a row then reads its rung from the
-cache, bit for bit what a single call computes.  A row's oracle values,
-chi and Fisher information all read one certified branch bundle, so its
+builds each slab's first rungs with one displacement series per block of
+one cutoff and padding, and each rung's selection-independent forms once;
+a row then reads its rung from the cache, bit for bit what a single call
+computes.  A row's oracle values, chi and Fisher information all read one
+certified branch bundle, as 2x2 contractions of its rung's forms, so its
 cutoff ladder runs once.  Floats are written via repr, so identical configs
 produce byte-identical files.
 """

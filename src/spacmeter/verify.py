@@ -146,7 +146,7 @@ def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
         "position shift": _cross_ratio(closed.position_shift, o_dx),
         "momentum shift": _cross_ratio(closed.momentum_shift, o_dp),
         "transition value": max(_cross_ratio(c_t.real, o_t.real), _cross_ratio(c_t.imag, o_t.imag)),
-        "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.kept.norm_sq / 2.0),
+        "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.norm_sq / 2.0),
         "Fisher information": _cross_ratio(closed_fisher, bundle.fisher()),
         "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
     }
@@ -154,7 +154,8 @@ def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
 
 def _cross_engine_checks(points) -> list[CheckResult]:
     # The grid's distinct first rungs fit in one slab (124 keys on the full
-    # grid), so they are built in one batched table pass per cutoff chunk.
+    # grid), built with one displacement series per cutoff and pad and their
+    # forms inside each entry; every point then reads them by contraction.
     fock.warm(list(dict.fromkeys((pointer, coupling.strength) for _, pointer, coupling in points)))
     rows = ((_label(*point), _cross_engine_ratios(*point)) for point in points)
     return _worst_of(rows, "cross-engine {} on grid")

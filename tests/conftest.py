@@ -1,8 +1,8 @@
 """Shared test plumbing: cold caches and the acceptance-criteria summary.
 
 Every test starts with `fock`'s rung cache empty, so a test that counts
-pointer builds or displacement table passes does not depend on what ran
-before it.
+pointer builds, displacement series or the rungs' Gram forms does not
+depend on what ran before it.
 
 The acceptance module appends one line per criterion to the session log;
 the terminal-summary hook prints them as a block after the test run so the

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from spacmeter import analytic, fock, metrology
+from spacmeter import analytic, fock, metrology, verify
 from spacmeter.model import Coupling, PointerParams, SelectionParams, weak_value
 
 P1_SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
@@ -168,7 +168,8 @@ class TestTables:
 
     def test_warmed_slab_equals_cold_single_calls(self):
         # a slab mixes cutoffs, strengths sharing a series, and pointers
-        # sharing a strength; every entry must be what a cold call computes
+        # sharing a strength; every entry, its forms and every selection's
+        # reads of them must be what a cold call computes, bit for bit
         keys = [
             (PointerParams(r=r, theta=0.3), strength)
             for r in (0.0, 2.0, 5.0)
@@ -176,14 +177,29 @@ class TestTables:
         ]
         assert fock.warm(keys) == len(keys)
         rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
+        cases = [(rung, sel) for rung in rungs for sel in (P1_SEL, SelectionParams(phi=0.95 * math.pi, delta=1.0))]
         warmed = [fock._RUNGS.get(rung) for rung in rungs]
+        warmed_reads = [self._reads(*case) for case in cases]
         fock._RUNGS.clear()
         for rung, hot in zip(rungs, warmed):
             cold = fock._branches(*rung)
             fock._RUNGS.clear()
             assert hot[1] == cold[1]
-            for a, b in zip(hot[::2] + hot[3:], cold[::2] + cold[3:]):
+            for a, b in zip(hot[:1] + hot[2:], cold[:1] + cold[2:]):  # psi, up, down, forms
                 assert np.array_equal(a, b)
+        for case, hot_reads in zip(cases, warmed_reads):
+            assert self._reads(*case) == hot_reads
+            fock._RUNGS.clear()
+
+    @staticmethod
+    def _reads(rung, sel):
+        """Every read of the bundle at one rung, for one selection."""
+        pointer, strength, dim = rung
+        bundle = fock._rung(sel, pointer, Coupling(strength=strength), weak_value(sel), dim)
+        return (
+            bundle.norm_sq, bundle.tail_mass, bundle.kept_moments, bundle.kept_shift(), bundle.transition(),
+            bundle.fisher(), bundle.base, bundle.unconditioned, bundle.kept.success_probability,
+        )
 
 
 class TestSeries:
@@ -248,6 +264,64 @@ class TestSeries:
         assert fock._branches(pointer, 3.0, 96) is not None
 
 
+class TestForms:
+    """Every selection's reads are 2x2 contractions of its rung's forms; each
+    must match the same read of the explicit vectors."""
+
+    # the standard grid's rows at four strengths, phi = 0.95 pi (|A| = 12.7) included
+    POINTS = [point for point in verify.standard_grid() if point[2].strength in (0.0, 0.1, 1.0, 3.0)]
+
+    @staticmethod
+    def _explicit(bundle):
+        """N, the kept moments, the transition value and the Fisher information, from vectors."""
+        a = weak_value(bundle.sel)
+        kept, norm_sq = fock._kept_combination(a, bundle.up, bundle.down)
+        twin = (1.0 + a) * bundle.up - (1.0 - a) * bundle.down
+        g_twin = fock._ladder_action(twin, lower=False) - fock._ladder_action(twin, lower=True)
+        overlap = complex(np.vdot(kept, g_twin))
+        return {
+            "norm": norm_sq,
+            "moments": fock.moments(kept, bundle.pointer),
+            "transition": complex(np.vdot(kept, twin)) / math.sqrt(norm_sq),
+            "fisher": (float(np.vdot(g_twin, g_twin).real) - abs(overlap) ** 2) / norm_sq,
+            "bands": (fock._band_mass(kept), fock._band_mass(g_twin) / norm_sq),
+        }
+
+    def test_reads_match_the_explicit_vectors(self):
+        # within 1e-2 of the shared cross-engine budget (measured 1.0e-3)
+        worst = 0.0
+        for sel, pointer, coupling in self.POINTS:
+            bundle = fock.branch_bundle(sel, pointer, coupling)
+            want = self._explicit(bundle)
+            got, kept = bundle.transition(), bundle.kept_moments
+            pairs = [
+                (bundle.norm_sq, want["norm"]),
+                (got.real, want["transition"].real),
+                (got.imag, want["transition"].imag),
+                (bundle.fisher(), want["fisher"]),
+                *zip(vars(kept).values(), vars(want["moments"]).values()),
+            ]
+            for a, b in pairs:
+                budget = metrology.CROSS_REL * max(abs(a), abs(b)) + metrology.CROSS_ABS
+                worst = max(worst, abs(a - b) / budget)
+        assert worst <= 1e-2
+
+    def test_guard_band_forms_match_the_band_mass(self):
+        # the kept gate reads <B|B> over N on the guard band, the Fisher gate
+        # <G C|G C> over N; both as _band_mass of the normalized vectors
+        seen = 0
+        for sel, pointer, coupling in self.POINTS:
+            bundle = fock.branch_bundle(sel, pointer, coupling)
+            got = (
+                bundle._read(fock._EDGE, fock._B, fock._B).real / bundle.norm_sq,
+                bundle._read(fock._EDGE_SPEED, fock._C, fock._C).real / bundle.norm_sq,
+            )
+            for g, w in zip(got, self._explicit(bundle)["bands"]):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+                seen += w > 0.0
+        assert seen > len(self.POINTS)
+
+
 class TestPointerVector:
     def test_vacuum_seed_is_first_excited_level(self):
         state = fock.spac_state(PointerParams(r=0.0))
@@ -267,6 +341,21 @@ class TestPointerVector:
             1.0, abs=1e-14
         )
         assert 0.0 <= state.tail_mass <= 1e-14
+
+    @pytest.mark.parametrize("r, dim", [(0.3, 64), (2.0, 96), (5.0, 96), (12.0, 96), (21.0, 800)])
+    def test_tail_matches_the_term_loop(self, r, dim):
+        # the 64 omitted terms one at a time, then the geometric remainder
+        # (15% of the tail at r^2 = 144, cutoff 96); the sum's
+        # order differs, so 64 terms' worth of eps is allowed
+        pointer, r_sq, total = PointerParams(r=r), r * r, 0.0
+        for k in range(dim, dim + 64):
+            log_w = (math.log(pointer.norm_factor_sq) - r_sq + (k - 1.0) * math.log(r_sq)
+                     + math.log(k) - math.lgamma(k + 1.0))
+            total += math.exp(log_w)
+        ratio = r_sq / (dim + 63.0)
+        want = total + math.exp(log_w) * ratio / (1.0 - ratio)
+        assert want > 0.0
+        assert fock._spac_tail(pointer, dim) == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0.0)
 
     def test_matches_bruteforce_amplitudes(self):
         for r, theta in ((0.8, 0.0), (2.0, math.pi / 6), (4.0, 2.5)):

@@ -1,5 +1,6 @@
 """One certified cutoff ladder per parameter point, whatever is read from it,
 one cached rung per (pointer, strength, cutoff), whatever selection reads it,
+one Gram block of forms per rung, read by every selection by contraction,
 and one displacement series per cutoff and padded size in a warmed slab."""
 
 import math
@@ -109,22 +110,50 @@ def test_qfi_displaces_once_per_rung(monkeypatch):
 
 
 def test_queries_at_one_point_share_one_rung(monkeypatch):
-    # the pointer and its displaced branches are cached per (pointer,
-    # strength, cutoff): repeated and mixed queries at a point build them once
+    # the pointer, its displaced branches and their forms are cached per
+    # (pointer, strength, cutoff): repeated and mixed queries at a point
+    # build them once
     built = _count_calls(monkeypatch, "_spac_amplitudes")
     passes = _count_calls(monkeypatch, "_series")
+    forms = _count_calls(monkeypatch, "_forms")
     for _ in range(2):
         for call in QUERIES.values():
             call()
     assert len(built) == 1
     assert len(passes) == 1
+    assert len(forms) == 1
+
+
+def test_verify_grid_builds_forms_once_per_rung(monkeypatch):
+    # the fast grid's 48 points share 8 first rungs; each rung's Gram block
+    # is built once, and no point walks the kept combination's vector
+    forms = _count_calls(monkeypatch, "_forms")
+    combined = _count_calls(monkeypatch, "_kept_combination")
+    points = verify.fast_grid()
+    checks = verify._cross_engine_checks(points)
+    assert all(c.passed for c in checks)
+    rungs = [entry for entry in fock._RUNGS._entries.values() if entry is not None]
+    assert len(forms) == len(rungs) < len(points)
+    assert len({id(up) for _, up, _ in forms}) == len(forms)
+    assert combined == []
 
 
 def _small_cache(monkeypatch, entries: int, dim: int):
     """A rung cache that holds about `entries` rungs at cutoff `dim`."""
-    limit = entries * (fock._ENTRY_OVERHEAD + 3 * dim * np.dtype(np.complex128).itemsize)
+    limit = entries * (fock._ENTRY_OVERHEAD + fock._FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize)
     monkeypatch.setattr(fock, "_RUNGS", fock._RungCache(limit))
     return limit
+
+
+def test_warm_fills_at_most_half_the_cache(monkeypatch):
+    # warm sizes its slab by what the cache counts for an entry, forms
+    # included, so the slab takes exactly half of a cache of 20 entries
+    limit = _small_cache(monkeypatch, 20, 64)
+    keys = [(PointerParams(r=0.05 * k), 0.3) for k in range(30)]
+    assert all(fock._first_cutoff(pointer, strength) == 64 for pointer, strength in keys)
+    count = fock.warm(keys)
+    assert all(fock._RUNGS.get((pointer, strength, 64)) is not None for pointer, strength in keys[:count])
+    assert count == 10 and fock._RUNGS.used == limit // 2
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig4"])
@@ -211,8 +240,9 @@ def test_bundle_vectors_are_read_only():
 
 def test_rung_cache_memory_is_bounded(monkeypatch):
     # the cache is bounded in bytes: each entry is at most three 1-D vectors
-    # at a cutoff no larger than HARD_DIM_CAP plus a fixed overhead, its
-    # accounted bytes never pass the limit, and clearing it frees no more
+    # at a cutoff no larger than HARD_DIM_CAP, their read-only forms and a
+    # fixed overhead, its accounted bytes never pass the limit, and clearing
+    # it frees no more
     assert fock._RUNGS.limit == fock.RUNG_CACHE_BYTES
     limit = _small_cache(monkeypatch, 8, 160)
     tracemalloc.start()
@@ -220,12 +250,15 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
         for k in range(12):
             pointer, strength = PointerParams(r=0.5 * k), 0.25 * k
             dim = fock.branch_bundle(SEL, pointer, Coupling(strength=strength)).n_max
-            vectors = [x for x in fock._branches(pointer, strength, dim) if isinstance(x, np.ndarray)]
-            assert len(vectors) == 3
-            assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors)
+            entry = fock._branches(pointer, strength, dim)
+            vectors = [x for x in entry if isinstance(x, np.ndarray)]
+            assert len(vectors) == 4
+            assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors[:3])
+            assert vectors[3].nbytes == fock._FORMS_BYTES and not vectors[3].flags.writeable
+            assert fock._entry_bytes(entry) == fock._ENTRY_OVERHEAD + sum(v.nbytes for v in vectors)
             assert dim <= fock.HARD_DIM_CAP
             assert fock._RUNGS.used <= limit
-        del vectors
+        del entry, vectors
         held = tracemalloc.get_traced_memory()[0]
         assert len(fock._RUNGS) < 12
         fock._RUNGS.clear()
