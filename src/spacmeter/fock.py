@@ -22,10 +22,12 @@ walks of the vectors.
 The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
 Chebyshev series (`_series`) gives both signs from the same ladder actions,
 on a basis padded until a Duhamel bound (`_pad`) puts the truncated
-generator's error below float eps.  A rung's selection-independent part,
-its forms included, is cached per (pointer, strength, cutoff); `warm` fills
-the cache a slab at a time, one series per block of one cutoff and padding,
-and a cold rung (a block of one) is bit for bit a warmed one.
+generator's error below float eps: its recurrence fills bounded Krylov
+chunks of terms, and each rung takes both signs from one small product per
+chunk.  A rung's selection-independent part, its forms included, is cached
+per (pointer, strength, cutoff); `warm` fills the cache a slab at a time,
+one series per block of one cutoff and padding, and a cold rung (a block of
+one) is bit for bit a warmed one.
 `displacement_operator` applies the series to the identity's columns.
 """
 
@@ -35,7 +37,7 @@ import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +78,10 @@ _FORMS_BYTES = 16 * (8 * 4 + 9)
 _B, _C = 0, 1
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# _series fills Krylov chunks of KRYLOV_TERMS terms per row, of at most KRYLOV_BYTES (or one row).
+KRYLOV_TERMS = 16
+KRYLOV_BYTES = 1 << 20
 
 
 class TruncationInsufficient(RuntimeError):
@@ -190,18 +196,25 @@ def _pad(half: float, dim: int) -> int:
 def _chebyshev_weights(z: float) -> np.ndarray:
     """c_0 = J_0(z) and c_k = 2 J_k(z) for the terms the series keeps, read-only.
 
-    It stops where DLMF 10.14.4, |J_k(z)| <= (z/2)^k / k!, puts the dropped
-    weights below float eps together (a geometric tail past k = z/2).
-    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} starts 32
-    orders further out, is scaled by 2^-800 near overflow and is normalized
-    by J_0 + 2 (J_2 + J_4 + ...) = 1.  One term means z < eps: J_0(z) is 1.
+    It stops at the first count past z/2 where DLMF 10.14.4, |J_k(z)| <=
+    (z/2)^k / k!, puts the dropped weights below float eps together (a
+    geometric tail); the bound falls strictly there, so a galloping search
+    (doubling, then bisection) finds that count.  Miller's backward
+    recurrence J_{k-1} = (2k/z) J_k - J_{k+1} starts 32 orders further out,
+    is scaled by 2^-800 near overflow and is normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1.  One term means z < eps: J_0(z) is 1.
     """
-    terms = 1
-    if z > 0.0:
-        terms = max(1, math.ceil(0.5 * z))
-        while (terms * math.log(0.5 * z) - math.lgamma(terms + 1.0)
-               - math.log(0.5 - 0.25 * z / (terms + 1.0)) > math.log(_EPS)):
-            terms += 1
+    def dropped(count: int) -> bool:
+        return (count * math.log(0.5 * z) - math.lgamma(count + 1.0)
+                - math.log(0.5 - 0.25 * z / (count + 1.0)) <= math.log(_EPS))
+
+    terms = max(1, math.ceil(0.5 * z))
+    short, gap = terms - 1, 1  # the largest count known to fall short, or the one before the first
+    while z > 0.0 and not dropped(terms):
+        short, terms, gap = terms, terms + 2 * gap, 2 * gap
+    while terms - short > 1:
+        middle = (short + terms) // 2
+        short, terms = (short, middle) if dropped(middle) else (middle, terms)
     weights = np.ones(1)
     if terms > 1:
         above, below = 1.0, 0.0
@@ -218,6 +231,11 @@ def _chebyshev_weights(z: float) -> np.ndarray:
     return weights
 
 
+def _krylov_rows(length: int, channels: int) -> int:
+    """Rows of one Krylov chunk on rows of `length` reals: as many as KRYLOV_BYTES holds, at least one."""
+    return max(1, KRYLOV_BYTES // ((KRYLOV_TERMS + 2) * (length + 2 * channels) * 8))
+
+
 def _series(rows: np.ndarray, channels: int, rungs) -> tuple[np.ndarray, np.ndarray]:
     """exp(+|mu| G) x and exp(-|mu| G) x, in rung order, for each rung (row, |mu|) of a block of vectors x.
 
@@ -226,49 +244,50 @@ def _series(rows: np.ndarray, channels: int, rungs) -> tuple[np.ndarray, np.ndar
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
         exp(+-|mu| G) x = sum_k (+-1)^k c_k w_k,  c_k = _chebyshev_weights(z),
         w_0 = x,  w_1 = G x / rho,  w_{k+1} = (2 / rho) G w_k + w_{k-1},
-    each |w_k| <= |x|.  A row's rungs share its w_k and each sums its own
-    terms in k order to its own count, bit for bit as a block of one would;
-    even and odd terms are summed apart.  Step k touches only the levels
-    within k of the rows' support.
+    each |w_k| <= |x|.  Per term, only the recurrence runs: step k touches the
+    levels within k of the rows' support and writes w_k into a Krylov chunk
+    (KRYLOV_TERMS slots after two carrying w_{k-2}, w_{k-1} in; _krylov_rows
+    rows, each guarded by a zero level each side).  After each chunk a rung
+    adds both signs, one (2, m) x (m, N channels) product of
+    (c_k, (-1)^k c_k) with its row's m terms, whose shape is the rung's own:
+    a block gives each rung the bits a block of one does.
     """
     count, length = rows.shape
-    step = np.repeat(_roots(length // channels), channels) / math.sqrt(length // channels)  # (2 / rho) sqrt(n)
-    weights = [_chebyshev_weights(2.0 * half * math.sqrt(length // channels)) for _, half in rungs]
-    order = sorted(range(len(rungs)), key=lambda r: -len(weights[r]))  # longest series first
-    lengths = [len(weights[r]) for r in order]
-    table = np.zeros((lengths[0], len(rungs), 1))
-    for place, r in enumerate(order):
-        table[: lengths[place], place, 0] = weights[r]
-    index = np.array([rungs[r][0] for r in order])
-    aligned = count == 1 or np.array_equal(index, np.arange(count))
-    w, last, shift = rows.copy(), np.zeros_like(rows), np.empty_like(rows)
-    sums, term = np.zeros((2, len(rungs), length)), np.empty((len(rungs), length))  # even and odd terms
-    held = np.flatnonzero(np.any(rows, axis=0)) // channels * channels
-    lo, hi = (held[0], held[-1] + channels) if len(held) else (0, channels)
-    live = len(rungs)
-    for k, weight in enumerate(table):
-        while lengths[live - 1] <= k:
-            live -= 1
-        if k:  # last becomes w_{k+1} = w_{k-1} + (2 / rho) G w_k, one level wider each way
-            top, bottom = min(hi, length - channels), max(lo - channels, 0)
-            np.multiply(step[lo:top], w[:, lo:top], out=shift[:, lo:top])
-            last[:, lo + channels : top + channels] += shift[:, lo:top]
-            np.multiply(step[bottom : hi - channels], w[:, bottom + channels : hi],
-                        out=shift[:, bottom : hi - channels])
-            last[:, bottom : hi - channels] -= shift[:, bottom : hi - channels]
-            lo, hi = bottom, top + channels
-            if k == 1:
-                last[:, lo:hi] *= 0.5
-            w, last = last, w
-        band = term[:live, lo:hi]
-        if aligned:
-            np.multiply(w[:, lo:hi] if count == 1 else w[:live, lo:hi], weight[:live], out=band)
-        else:
-            np.take(w[:, lo:hi], index[:live], axis=0, out=band)
-            band *= weight[:live]
-        sums[k % 2, :live, lo:hi] += band
-    inverse = np.argsort(order)
-    return (sums[0] + sums[1])[inverse], (sums[0] - sums[1])[inverse]
+    levels, wide = length // channels, length + 2 * channels
+    step = np.repeat(_roots(levels), channels) / math.sqrt(levels)  # (2 / rho) sqrt(n)
+    lowering = np.concatenate([np.zeros(channels), step, np.zeros(2 * channels)])  # for w_k one level down
+    raising = np.concatenate([np.zeros(2 * channels), step, np.zeros(channels)])  # for w_k one level up
+    coeffs = [np.array([c, c * (-1.0) ** np.arange(len(c))])
+              for c in (_chebyshev_weights(2.0 * half * math.sqrt(levels)) for _, half in rungs)]
+    out = np.zeros((len(rungs), 2, length))
+    size = _krylov_rows(length, channels)
+    for first in range(0, count, size):
+        group = rows[first : first + size]
+        members = [r for r, (row, _) in enumerate(rungs) if first <= row < first + size]
+        terms = max((coeffs[r].shape[1] for r in members), default=0)
+        chunk = np.zeros((len(group), KRYLOV_TERMS + 2, wide))
+        chunk[:, 2, channels : length + channels] = group
+        slots = list(chunk[0] if len(group) == 1 else chunk.transpose(1, 0, 2))  # one row runs on 1-D views
+        spare = np.empty_like(slots[0])
+        held = np.flatnonzero(np.any(group, axis=0)) // channels * channels + channels
+        lo, hi = (held[0], held[-1] + channels) if len(held) else (channels, 2 * channels)
+        for start in range(0, terms, KRYLOV_TERMS):
+            chunk[:, :2] = chunk[:, KRYLOV_TERMS:]  # w_{k-2}, w_{k-1} carried in: zeros before the first chunk
+            for slot in range(3 if start == 0 else 2, min(KRYLOV_TERMS, terms - start) + 2):
+                lo, hi = max(lo - channels, channels), min(hi + channels, length + channels)
+                w, new, shift = slots[slot - 1], slots[slot][..., lo:hi], spare[..., lo:hi]
+                # w_k = w_{k-2} + (2 / rho) G w_{k-1}, one level wider each way
+                np.multiply(raising[lo:hi], w[..., lo - channels : hi - channels], out=new)
+                new += slots[slot - 2][..., lo:hi]
+                np.multiply(lowering[lo:hi], w[..., lo + channels : hi + channels], out=shift)
+                new -= shift
+                if start + slot == 3:  # w_1 = G x / rho
+                    new *= 0.5
+            for r in members:
+                part = coeffs[r][:, start : start + KRYLOV_TERMS]
+                if part.size:
+                    out[r] += part @ chunk[rungs[r][0] - first, 2 : 2 + part.shape[1], channels : length + channels]
+    return out[:, 0], out[:, 1]
 
 
 def _reaches(half: float, dim: int) -> bool:
@@ -280,7 +299,8 @@ def displacement_operator(mu: complex, n_max: int) -> FockOperator:
     """Dense displacement matrix in the number basis, with safe-subspace size.
 
     D(mu) = R D(|mu|) R^dagger, R = diag(exp(i m arg mu)), with D(|mu|) the
-    series on the identity's columns, 32 at a time, on the padded basis.
+    series on the identity's columns, 16 at a time, on the padded basis (at
+    32, verify's one call left its 0.75 MiB Krylov chunk resident in the heap).
     Where |mu|^2 reaches the cutoff no column is safe and no padding is added.
     """
     if n_max < 8:
@@ -289,8 +309,8 @@ def displacement_operator(mu: complex, n_max: int) -> FockOperator:
     reaches = _reaches(abs(mu), dim)
     size = dim if reaches else dim + _pad(abs(mu), dim)
     matrix, loss = np.empty((dim, dim), dtype=np.complex128), np.zeros(dim)
-    for first in range(0, dim, 32):
-        block = np.eye(min(32, dim - first), size, first)
+    for first in range(0, dim, 16):
+        block = np.eye(min(16, dim - first), size, first)
         up, _ = _series(block, 1, [(j, abs(mu)) for j in range(len(block))])
         matrix[:, first : first + len(block)] = up[:, :dim].T
         loss[first : first + len(block)] = np.sum(up[:, dim:] ** 2, axis=1)
@@ -459,6 +479,16 @@ def _contract(forms: list, block: int, x, y) -> complex:
     return x[0].conjugate() * (m00 * y[0] + m01 * y[1]) + x[1].conjugate() * (m10 * y[0] + m11 * y[1])
 
 
+class _once:
+    """A read kept in the instance's __dict__ on first access (cached_property takes a lock there on Python 3.11)."""
+
+    def __init__(self, read) -> None:
+        self.read, self.name, self.__doc__ = read, read.__name__, read.__doc__
+
+    def __get__(self, bundle, owner=None):
+        return self if bundle is None else bundle.__dict__.setdefault(self.name, self.read(bundle))
+
+
 @dataclass(frozen=True, eq=False)
 class BranchBundle:
     """A point's pointer state and both displaced branches at its certified cutoff.
@@ -490,7 +520,7 @@ class BranchBundle:
         mean_a, mean_a2, mean_n = self.forms[32 + 3 * vector : 35 + 3 * vector]
         return _quad_moments(mean_a, mean_a2, mean_n.real, self.pointer.sigma)
 
-    @cached_property
+    @_once
     def kept(self) -> AssembledState | None:
         """The normalized kept combination, built on first access from the same N."""
         if self.coeffs is None:
@@ -503,11 +533,11 @@ class BranchBundle:
             success_probability=postselection_probability(self.sel) * norm_sq / 4.0,
         )
 
-    @cached_property
+    @_once
     def base(self) -> PointerMoments:
         return _pointer_moments(*self._moments(0))
 
-    @cached_property
+    @_once
     def kept_moments(self) -> PointerMoments:
         """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
         norm_sq = self.norm_sq
@@ -539,7 +569,7 @@ class BranchBundle:
         overlap = self._read(_SLOPE, _B, _C)
         return (self._read(_SPEED, _C, _C).real - abs(overlap) ** 2 / norm_sq) / norm_sq
 
-    @cached_property
+    @_once
     def unconditioned(self) -> PointerMoments:
         """Keep-everything statistics, the sigma_x-population mixture of the branches.
 

@@ -96,6 +96,11 @@ class PointerParams:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", _wrap_angle(theta))
         object.__setattr__(self, "sigma", sigma)
+        # hashed once, not a field: the rung and kernel caches hash a pointer on every lookup
+        object.__setattr__(self, "_hash", hash((r, self.theta, sigma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def alpha(self) -> complex:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from spacmeter import analytic, fock, metrology, verify
+from spacmeter import analytic, fock, metrology, sweep, verify
 from spacmeter.model import Coupling, PointerParams, SelectionParams, weak_value
 
 P1_SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
@@ -253,6 +253,85 @@ class TestSeries:
         terms = signs * weights
         assert abs(math.fsum(terms[0::2]) - math.cos(z)) <= 1e-14
         assert abs(math.fsum(terms[1::2]) - math.sin(z)) <= 1e-14
+
+    def test_term_counts_equal_the_linear_scan(self):
+        # the galloping search stops where a walk up from z/2 does, on a
+        # dense grid from below eps to far past the presets' largest z
+        def scan(z):
+            terms = max(1, math.ceil(0.5 * z))
+            while (terms * math.log(0.5 * z) - math.lgamma(terms + 1.0)
+                   - math.log(0.5 - 0.25 * z / (terms + 1.0)) > math.log(np.finfo(float).eps)):
+                terms += 1
+            return terms
+
+        zs = np.concatenate([np.geomspace(1e-14, 5000.0, 1000), np.arange(0.005, 100.0, 0.02)]).tolist()
+        assert [len(fock._chebyshev_weights.__wrapped__(z)) for z in zs] == [scan(z) for z in zs]
+        assert len(fock._chebyshev_weights(0.0)) == 1
+
+    DIM = 64
+
+    @classmethod
+    def _block(cls):
+        """A pad for |mu| up to 1.5 at cutoff 64, and the |mu| whose series keeps
+        B - 1, B, B + 1 and 2B + 1 terms on that padded basis."""
+        pad = fock._pad(1.5, cls.DIM)
+        size = math.sqrt(cls.DIM + pad)
+        counts = [fock.KRYLOV_TERMS + d for d in (-1, 0, 1, fock.KRYLOV_TERMS + 1)]
+        first = {}
+        for z in np.arange(0.01, 2.0 * 1.5 * size, 0.01):
+            first.setdefault(len(fock._chebyshev_weights.__wrapped__(float(z))), float(z) / (2.0 * size))
+        halves = [first[c] for c in counts]
+        assert [len(fock._chebyshev_weights(2.0 * h * size)) for h in halves] == counts
+        return pad, halves
+
+    @pytest.mark.parametrize("place", range(4), ids=["B-1", "B", "B+1", "2B+1"])
+    def test_chunk_boundaries_match_expm(self, place):
+        # a series that ends just before, at and just past a chunk's last
+        # slot, and one that runs into a third chunk
+        pad, halves = self._block()
+        half = halves[place]
+        psi = fock._spac_amplitudes(PointerParams(r=2.0, theta=0.4), self.DIM)[0]
+        (up,), (down,) = fock._displace([psi], self.DIM, pad, [(0, half)])
+        for sign, got in ((1.0, up), (-1.0, down)):
+            ref = bf.displace(sign * half, 2 * (self.DIM + pad), psi)[: self.DIM + pad]
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_mixed_chunk_counts_in_a_block_equal_blocks_of_one(self):
+        # the r = 0 row's support is one level, so the block's window is
+        # wider than its own; each rung's product has the same shape as in a
+        # block of one, and gives the same bits
+        pad, halves = self._block()
+        psis = [fock._spac_amplitudes(PointerParams(r=r, theta=0.3), self.DIM)[0] for r in (0.0, 2.0, 3.5)]
+        rungs = [(row, h) for row in (2, 0, 1) for h in halves[::-1]]
+        ups, downs = fock._displace(psis, self.DIM, pad, rungs)
+        for (row, h), up, down in zip(rungs, ups, downs):
+            (one_up,), (one_down,) = fock._displace([psis[row]], self.DIM, pad, [(0, h)])
+            assert np.array_equal(up, one_up) and np.array_equal(down, one_down)
+
+    def test_chunk_stays_under_its_byte_constant(self, monkeypatch):
+        # by arithmetic on the shapes of every series of the full verify grid
+        # and the five presets, and of the 16-column blocks of the cap-size
+        # displacement_operator at the CI's three |mu|: each chunk holds
+        # _krylov_rows of a block's rows, KRYLOV_TERMS + 2 slots each, on rows
+        # guarded by one level each side
+        blocks, series = [], fock._series
+
+        def recorded(rows, channels, rungs):
+            blocks.append((len(rows), rows.shape[1], channels))
+            return series(rows, channels, rungs)
+
+        monkeypatch.setattr(fock, "_series", recorded)
+        verify.run_verify("full")
+        for name in ("fig1", "fig3a", "fig3b", "fig4", "fig5"):
+            sweep.run_sweep(sweep.preset(name))
+        blocks += [(16, fock.HARD_DIM_CAP + fock._pad(mu, fock.HARD_DIM_CAP), 1) for mu in (0.025, 0.15, 1.5)]
+        chunks = []
+        for count, length, channels in blocks:
+            rows = min(count, fock._krylov_rows(length, channels))
+            chunks.append(rows * (fock.KRYLOV_TERMS + 2) * (length + 2 * channels) * 8)
+            assert rows >= 1
+        assert max(chunks) <= fock.KRYLOV_BYTES
+        assert any(count > fock._krylov_rows(length, channels) for count, length, channels in blocks)
 
     def test_mass_past_the_cutoff_rejects_a_rung(self, monkeypatch):
         # with the guard bands silenced, the mass of D(+-1.5) psi past cutoff

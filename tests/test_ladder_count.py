@@ -4,13 +4,14 @@ one Gram block of forms per rung, read by every selection by contraction,
 and one displacement series per cutoff and padded size in a warmed slab."""
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spacmeter import fock, metrology, sweep, verify
+from spacmeter import analytic, fock, metrology, sweep, verify
 from spacmeter.model import Coupling, PointerParams, SelectionParams
 
 SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
@@ -122,6 +123,28 @@ def test_queries_at_one_point_share_one_rung(monkeypatch):
     assert len(built) == 1
     assert len(passes) == 1
     assert len(forms) == 1
+
+
+def test_equal_pointers_share_the_caches(monkeypatch):
+    # a pointer hashes its fields once, at construction; an equal pointer
+    # built apart, replaced or unpickled hashes equal and finds the same
+    # cached rung and the same closed-form kernel entries
+    twins = [PointerParams(r=PTR.r, theta=PTR.theta), replace(PTR, sigma=1.0), pickle.loads(pickle.dumps(PTR))]
+    for twin in twins:
+        assert twin == PTR and twin is not PTR and repr(twin) == repr(PTR)
+        assert hash(twin) == hash(PTR) == hash((PTR.r, PTR.theta, PTR.sigma))
+    assert hash(replace(PTR, r=3.0)) == hash((3.0, PTR.theta, PTR.sigma))
+    analytic.real_axis_kernel.cache_clear()
+    fock.branch_bundle(SEL, PTR, CPL)
+    analytic.pointer_shifts(SEL, PTR, CPL)
+    kernels = analytic.real_axis_kernel.cache_info()
+    built = _count_calls(monkeypatch, "_spac_amplitudes")
+    for twin in twins:
+        fock.branch_bundle(SEL, twin, CPL)
+        analytic.pointer_shifts(SEL, twin, CPL)
+    assert built == []
+    assert analytic.real_axis_kernel.cache_info().misses == kernels.misses
+    assert analytic.real_axis_kernel.cache_info().hits > kernels.hits
 
 
 def test_verify_grid_builds_forms_once_per_rung(monkeypatch):
