@@ -25,9 +25,10 @@ on a basis padded until a Duhamel bound (`_pad`) puts the truncated
 generator's error below float eps: its recurrence fills bounded Krylov
 chunks of terms, and each rung takes both signs from one small product per
 chunk.  A rung's selection-independent part, its forms included, is cached
-per (pointer, strength, cutoff); `warm` fills the cache a slab at a time,
-one series per block of one cutoff and padding, and a cold rung (a block of
-one) is bit for bit a warmed one.
+per (pointer, strength, cutoff) and charged _entry_bytes(cutoff); `warmed`
+yields a grid's points grouped by rung key, a slab at a time, after caching
+each slab's first rungs with one series per block of one cutoff and padding,
+and a cold rung (a block of one) is bit for bit a warmed one.
 `displacement_operator` applies the series to the identity's columns.
 """
 
@@ -60,9 +61,9 @@ TAIL_TOL = 1e-14
 GUARD_BAND = 8
 HARD_DIM_CAP = 4096
 
-# The rung cache (_branches) holds at most this many bytes: each entry's
-# vectors and forms plus _ENTRY_OVERHEAD for its key and tuple, so that
-# rejected rungs (cached as None) count too.  warm fills at most half of it.
+# The rung cache (_branches) holds at most this many bytes, each entry
+# charged _entry_bytes of its cutoff, rejected rungs (cached as None)
+# included.  warmed fills at most half of it per slab.
 RUNG_CACHE_BYTES = 16 << 20
 _ENTRY_OVERHEAD = 1024
 
@@ -400,25 +401,22 @@ def _roots(size: int) -> np.ndarray:
     return roots
 
 
-def _ladder_action(v: np.ndarray, lower: bool) -> np.ndarray:
-    """a v (lower) or adag v on the truncated basis, by tridiagonal action."""
-    roots = _roots(len(v))
-    out = np.zeros(len(v), dtype=np.complex128)
-    if lower:
-        out[:-1] = roots * v[1:]
-    else:
-        out[1:] = roots * v[:-1]
-    return out
+def _words(rows: np.ndarray) -> np.ndarray:
+    """(x, a x, a^2 x, adag x) for each row x (the last axis), by tridiagonal action on the truncated basis."""
+    roots = _roots(rows.shape[-1])
+    words = np.empty((4, *rows.shape), dtype=np.complex128)
+    words[0] = rows
+    words[1:3, ..., -1] = words[3, ..., 0] = 0.0
+    np.multiply(roots, rows[..., 1:], out=words[1, ..., :-1])
+    np.multiply(roots, words[1, ..., 1:], out=words[2, ..., :-1])
+    np.multiply(roots, rows[..., :-1], out=words[3, ..., 1:])
+    return words
 
 
 def _ladder_means(v: np.ndarray) -> tuple[complex, complex, float]:
-    """(<a>, <a^2>, <n>) by tridiagonal ladder action, no dense matrices."""
-    av = _ladder_action(v, lower=True)
-    a2v = _ladder_action(av, lower=True)
-    mean_a = complex(np.vdot(v, av))
-    mean_a2 = complex(np.vdot(v, a2v))
-    mean_n = float(np.vdot(av, av).real)
-    return mean_a, mean_a2, mean_n
+    """(<a>, <a^2>, <n>) from the _words of v, no dense matrices."""
+    _, av, a2v, _ = _words(v)
+    return complex(np.vdot(v, av)), complex(np.vdot(v, a2v)), float(np.vdot(av, av).real)
 
 
 def _quad_moments(mean_a: complex, mean_a2: complex, mean_n: float, sigma: float):
@@ -449,16 +447,11 @@ def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMo
 def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """The forms every selection of a rung reads, from S+- = up +- down.
 
-    The words F S, F = (1, a, a^2, G), are tridiagonal ladder actions on the
-    truncated basis, as _ladder_action forms them; their Gram matrix is one
-    complex matmul, and the means are _ladder_means of each vector.
+    The words F S, F = (1, a, a^2, G), are _words of S+- with G S = adag S - a S;
+    their Gram matrix is one complex matmul, and the means are _ladder_means of
+    each vector (one block of all five rows churns the allocator at large cutoffs).
     """
-    roots = _roots(len(up))
-    words = np.zeros((4, 2, len(up)), dtype=np.complex128)
-    words[0] = up + down, up - down
-    words[1, :, :-1] = roots * words[0, :, 1:]
-    words[2, :, :-1] = roots * words[1, :, 1:]
-    words[3, :, 1:] = roots * words[0, :, :-1]
+    words = _words(np.array([up + down, up - down]))
     words[3] -= words[1]
     flat = words.reshape(8, -1)
     gram = (flat.conj() @ flat.T).reshape(4, 2, 4, 2)
@@ -611,18 +604,19 @@ class _RungCache:
         if key in self._entries:
             return
         self._entries[key] = entry
-        self.used += _entry_bytes(entry)
+        self.used += _entry_bytes(key[2])
         while self.used > self.limit:
-            _, old = self._entries.popitem(last=False)
-            self.used -= _entry_bytes(old)
+            old, _ = self._entries.popitem(last=False)
+            self.used -= _entry_bytes(old[2])
 
     def clear(self) -> None:
         self._entries.clear()
         self.used = 0
 
 
-def _entry_bytes(entry) -> int:
-    return _ENTRY_OVERHEAD + (0 if entry is None else sum(v.nbytes for v in entry if isinstance(v, np.ndarray)))
+def _entry_bytes(dim: int) -> int:
+    """What a rung at cutoff dim costs the cache: psi, up and down, the forms and the overhead."""
+    return _ENTRY_OVERHEAD + _FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize
 
 
 _RUNGS = _RungCache(RUNG_CACHE_BYTES)
@@ -687,27 +681,29 @@ def _branches(pointer: PointerParams, strength: float, dim: int):
     return _fill([key])[key] if entry is _MISS else entry
 
 
-def warm(keys) -> int:
-    """Cache the first rungs of a leading slab of (pointer, strength) keys; returns its length.
+def warmed(keys):
+    """Every index of keys, grouped by key in order of first appearance, each slab's first rungs cached first.
 
-    The slab is the longest prefix whose entries fit in half of
-    RUNG_CACHE_BYTES, and at least one key, so the later rungs its points
-    may climb to find room without evicting the rest of it.  A None key (a
-    point with no valid pointer) is counted and skipped.
+    keys yields one (pointer, strength) per point, or None for a point with
+    no valid pointer or strength.  A slab is the longest run of groups whose
+    first rungs fit in half of RUNG_CACHE_BYTES, and at least one group, so
+    the later rungs its points may climb find room without evicting the
+    rest of it; one _fill computes its rungs before its indices are yielded.
     """
-    room = _RUNGS.limit // 2
-    rungs, count = [], 0
-    for key in keys:
-        if key is not None:
-            pointer, strength = key
-            dim = _first_cutoff(pointer, strength)
-            room -= _ENTRY_OVERHEAD + _FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize
-            if room < 0 and rungs:
-                break
-            rungs.append((pointer, strength, dim))
-        count += 1
-    _fill(rungs)
-    return count
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    rungs = [None if key is None else (*key, _first_cutoff(*key)) for key in groups]
+    costs = [0 if rung is None else _entry_bytes(rung[2]) for rung in rungs]
+    members, start = list(groups.values()), 0
+    while start < len(rungs):
+        end, room = start + 1, _RUNGS.limit // 2 - costs[start]
+        while end < len(rungs) and costs[end] <= room:
+            room -= costs[end]
+            end += 1
+        _fill([rung for rung in rungs[start:end] if rung is not None])
+        yield from (index for indices in members[start:end] for index in indices)
+        start = end
 
 
 def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
@@ -816,7 +812,7 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
 def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:
     """|<[X, P]> - i| for a normalized state; small only when well truncated."""
     v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
-    av, adv = _ladder_action(v, lower=True), _ladder_action(v, lower=False)
+    _, av, _, adv = _words(v)
     x_v = pointer.sigma * (av + adv)
     p_v = (0.5j / pointer.sigma) * (adv - av)
     # <XP> - <PX> = 2i Im <Xv|Pv> for Hermitian X, P

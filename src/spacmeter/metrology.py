@@ -32,7 +32,7 @@ from .model import (
 
 REFERENCE_GUARD = 1e-12
 
-# |a - b| <= CROSS_REL * max(|a|, |b|) + CROSS_ABS, shared with the verifier
+# the budget of cross_ratio, shared with the verifier
 CROSS_REL = 1e-8
 CROSS_ABS = 1e-12
 
@@ -66,8 +66,13 @@ class FisherReport:
     cramer_rao: float
 
 
+def cross_ratio(a: float, b: float) -> float:
+    """|a - b| over the shared budget CROSS_REL max(|a|, |b|) + CROSS_ABS: the engines agree where it is <= 1."""
+    return abs(a - b) / (CROSS_REL * max(abs(a), abs(b)) + CROSS_ABS)
+
+
 def _check_engines(name: str, oracle: float, closed: float) -> None:
-    if abs(oracle - closed) > CROSS_REL * max(abs(oracle), abs(closed)) + CROSS_ABS:
+    if not cross_ratio(oracle, closed) <= 1.0:
         raise EngineMismatch(f"{name}: matrix {oracle!r} vs closed form {closed!r}")
 
 

@@ -5,22 +5,22 @@ with a family of values for a second parameter (one curve per family value).
 Every grid point is evaluated independently and becomes one CSV row holding
 the requested quantities from both engines plus their residual, the
 truncation certificate (cutoff and tail mass), and an error flag.  Rows are
-emitted in grid order; points that share a pointer and a strength are
-evaluated back to back, so that they share fock's cached rungs.  The
-grid's distinct (pointer, strength) keys go to fock.warm in slabs, which
-builds each slab's first rungs with one displacement series per block of
-one cutoff and padding, and each rung's selection-independent forms once;
-a row then reads its rung from the cache, bit for bit what a single call
-computes.  A row's oracle values, chi and Fisher information all read one
-certified branch bundle, as 2x2 contractions of its rung's forms, so its
-cutoff ladder runs once.  Floats are written via repr, so identical configs
-produce byte-identical files.
+emitted in grid order but evaluated in the order fock.warmed yields them
+from one (pointer, strength) key per row: rows that share a key back to
+back, a slab at a time, after the slab's first rungs are built with one
+displacement series per block of one cutoff and padding and each rung's
+selection-independent forms once.  A row then reads its rung from the
+cache, bit for bit what a single call computes.  A row's oracle values,
+chi and Fisher information all read one certified branch bundle, as 2x2
+contractions of its rung's forms, so its cutoff ladder runs once.  Floats
+are written via repr, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import analytic, fock, metrology, svg
 from .model import ANGLE_SLACK, Coupling, PointerParams, SelectionParams
@@ -122,6 +122,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cells(row: dict[str, str], spec: SweepSpec, name: str, *values) -> None:
+    """Writes a requested output's values into its _OUTPUT_COLUMNS, in order; a None leaves its cell empty."""
+    if name in spec.outputs:
+        row.update((col, _fmt(value)) for col, value in zip(_OUTPUT_COLUMNS[name], values) if value is not None)
+
+
 def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str, str]:
     row = {
         "index": str(index),
@@ -142,42 +148,25 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
         row["n_max[1]"] = str(bundle.n_max)
         row["tail_mass[1]"] = _fmt(bundle.tail_mass)
 
-        wants_shifts = any(o in spec.outputs for o in ("dx", "dp", "transition"))
-        if wants_shifts:
+        if any(o in spec.outputs for o in ("dx", "dp", "transition")):
             closed = analytic.pointer_shifts(sel, pointer, coupling)
             oracle_dx, oracle_dp = bundle.kept_shift()
             g = coupling.coupling_constant(pointer)
-            if "dx" in spec.outputs:
-                row["dx_closed[length]"] = _fmt(closed.position_shift)
-                row["dx_oracle[length]"] = _fmt(oracle_dx)
-                row["dx_residual[length]"] = _fmt(abs(closed.position_shift - oracle_dx))
-                if g > 0.0:
-                    row["dx_over_g[1]"] = _fmt(closed.position_shift / g)
-            if "dp" in spec.outputs:
-                row["dp_closed[1/length]"] = _fmt(closed.momentum_shift)
-                row["dp_oracle[1/length]"] = _fmt(oracle_dp)
-                row["dp_residual[1/length]"] = _fmt(abs(closed.momentum_shift - oracle_dp))
-                if g > 0.0:
-                    # momentum measured in its natural unit g / sigma^2
-                    row["dp_over_g[1]"] = _fmt(
-                        closed.momentum_shift * pointer.sigma ** 2 / g
-                    )
+            dx, dp = closed.position_shift, closed.momentum_shift
+            # momentum over g is measured in its natural unit g / sigma^2
+            _cells(row, spec, "dx", dx, oracle_dx, abs(dx - oracle_dx), dx / g if g > 0.0 else None)
+            _cells(row, spec, "dp", dp, oracle_dp, abs(dp - oracle_dp),
+                   dp * pointer.sigma ** 2 / g if g > 0.0 else None)
             if "transition" in spec.outputs:
-                oracle_t = bundle.transition()
-                row["transition_closed.re[1]"] = _fmt(closed.transition.real)
-                row["transition_closed.im[1]"] = _fmt(closed.transition.imag)
-                row["transition_oracle.re[1]"] = _fmt(oracle_t.real)
-                row["transition_oracle.im[1]"] = _fmt(oracle_t.imag)
-                row["transition_residual[1]"] = _fmt(abs(closed.transition - oracle_t))
+                t, oracle_t = closed.transition, bundle.transition()
+                _cells(row, spec, "transition", t.real, t.imag, oracle_t.real, oracle_t.imag, abs(t - oracle_t))
 
         if "chi" in spec.outputs:
-            row["chi[1]"] = _fmt(metrology.snr_from_bundle(bundle, spec.trials).ratio)
+            _cells(row, spec, "chi", metrology.snr_from_bundle(bundle, spec.trials).ratio)
         if "qfi" in spec.outputs or "crb" in spec.outputs:
             report = metrology.qfi_from_bundle(bundle, spec.trials)
-            if "qfi" in spec.outputs:
-                row["qfi[1]"] = _fmt(report.weighted_fisher)
-            if "crb" in spec.outputs:
-                row["crb[1]"] = _fmt(report.cramer_rao)
+            _cells(row, spec, "qfi", report.weighted_fisher)
+            _cells(row, spec, "crb", report.cramer_rao)
     except (ValueError, ArithmeticError, RuntimeError) as err:
         row["flag"] = type(err).__name__
     return row
@@ -205,25 +194,18 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
     # Rows that share a pointer and a strength share fock's cached rungs, so
     # they run back to back: a strength axis would otherwise put a whole
     # family's worth of strengths between two reads of one rung.
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(jobs):
-        groups.setdefault((p["r"], p["theta"], p["sigma"], p["strength"]), []).append(i)
-    keys = [_rung_key(*key) for key in groups]
-    members = list(groups.values())
     rows: list[dict[str, str]] = [{}] * len(jobs)
-    done = 0
-    while done < len(keys):
-        # fock warms a slab of first rungs in one batched pass per cutoff
-        slab = fock.warm(keys[done:])
-        for group in members[done : done + slab]:
-            for i in group:
-                rows[i] = _evaluate(spec, i, jobs[i])
-        done += slab
+    for i in fock.warmed(_rung_key(p["r"], p["theta"], p["sigma"], p["strength"]) for p in jobs):
+        rows[i] = _evaluate(spec, i, jobs[i])
     return spec.header(), rows
 
 
+@lru_cache(maxsize=1024)
 def _rung_key(r: float, theta: float, sigma: float, strength: float):
-    """The (pointer, strength) key fock caches a rung under, or None for an invalid point."""
+    """The (pointer, strength) key fock caches a rung under, or None for an invalid point.
+
+    Memoized: rows that share a key share one pointer, built and compared once.
+    """
     try:
         return PointerParams(r=r, theta=theta, sigma=sigma), Coupling(strength=strength).strength
     except ValueError:

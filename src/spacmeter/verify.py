@@ -5,11 +5,13 @@ closed forms against the matrix oracle over a parameter grid, the weak and
 strong coupling limits, truncation health (cutoff doubling, for the shift
 and for the displaced branches, unitarity, norms, canonical commutator),
 and the fidelity estimator of the Fisher information against its exact
-value.  Each check keeps its worst tolerance-normalized ratio and the
-parameter point where it was seen, and the report prints both.  It also
-emits the transcription audit table; by policy those discrepancies are
-reported but never counted as failures, since they document the source
-text rather than this package.
+value.  The grid's points run in the order fock.warmed yields them, a slab
+of first rungs at a time (the full grid's 124 fit in one), so each rung's
+forms are built once.  Each check keeps its worst tolerance-normalized
+ratio and the first parameter point in that order where it was seen, and
+the report prints both.  It also emits the transcription audit table; by
+policy those discrepancies are reported but never counted as failures,
+since they document the source text rather than this package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, audit, fock, metrology
-from .metrology import CROSS_ABS, CROSS_REL
+from .metrology import cross_ratio
 from .model import (
     Coupling,
     PointerParams,
@@ -72,10 +74,6 @@ class VerifyReport:
 
 def _ratio(diff: float, budget: float) -> float:
     return diff / budget if budget > 0.0 else math.inf
-
-
-def _cross_ratio(closed: float, oracle: float) -> float:
-    return _ratio(abs(closed - oracle), CROSS_REL * max(abs(closed), abs(oracle)) + CROSS_ABS)
 
 
 def _grid(strengths, phis, deltas, radii) -> list[tuple[SelectionParams, PointerParams, Coupling]]:
@@ -143,21 +141,18 @@ def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
     expected = coupling.coupling_constant(pointer) * strong_conditional_value(sel)
     closed_fisher = analytic.fisher_information(sel, pointer, coupling)
     return {
-        "position shift": _cross_ratio(closed.position_shift, o_dx),
-        "momentum shift": _cross_ratio(closed.momentum_shift, o_dp),
-        "transition value": max(_cross_ratio(c_t.real, o_t.real), _cross_ratio(c_t.imag, o_t.imag)),
-        "inverse norm": _cross_ratio(closed.inverse_norm_sq, bundle.norm_sq / 2.0),
-        "Fisher information": _cross_ratio(closed_fisher, bundle.fisher()),
+        "position shift": cross_ratio(closed.position_shift, o_dx),
+        "momentum shift": cross_ratio(closed.momentum_shift, o_dp),
+        "transition value": max(cross_ratio(c_t.real, o_t.real), cross_ratio(c_t.imag, o_t.imag)),
+        "inverse norm": cross_ratio(closed.inverse_norm_sq, bundle.norm_sq / 2.0),
+        "Fisher information": cross_ratio(closed_fisher, bundle.fisher()),
         "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
     }
 
 
 def _cross_engine_checks(points) -> list[CheckResult]:
-    # The grid's distinct first rungs fit in one slab (124 keys on the full
-    # grid), built with one displacement series per cutoff and pad and their
-    # forms inside each entry; every point then reads them by contraction.
-    fock.warm(list(dict.fromkeys((pointer, coupling.strength) for _, pointer, coupling in points)))
-    rows = ((_label(*point), _cross_engine_ratios(*point)) for point in points)
+    order = fock.warmed((pointer, coupling.strength) for _, pointer, coupling in points)
+    rows = ((_label(*points[i]), _cross_engine_ratios(*points[i])) for i in order)
     return _worst_of(rows, "cross-engine {} on grid")
 
 

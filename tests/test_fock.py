@@ -175,7 +175,9 @@ class TestTables:
             for r in (0.0, 2.0, 5.0)
             for strength in (0.0, 0.3, 1.7)
         ]
-        assert fock.warm(keys) == len(keys)
+        order = fock.warmed(keys)
+        assert next(order) == 0 and len(fock._RUNGS) == len(keys)  # one slab
+        assert list(order) == list(range(1, len(keys)))
         rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
         cases = [(rung, sel) for rung in rungs for sel in (P1_SEL, SelectionParams(phi=0.95 * math.pi, delta=1.0))]
         warmed = [fock._RUNGS.get(rung) for rung in rungs]
@@ -356,7 +358,8 @@ class TestForms:
         a = weak_value(bundle.sel)
         kept, norm_sq = fock._kept_combination(a, bundle.up, bundle.down)
         twin = (1.0 + a) * bundle.up - (1.0 - a) * bundle.down
-        g_twin = fock._ladder_action(twin, lower=False) - fock._ladder_action(twin, lower=True)
+        lower = bf.ladder(len(twin))
+        g_twin = lower.conj().T @ twin - lower @ twin
         overlap = complex(np.vdot(kept, g_twin))
         return {
             "norm": norm_sq,

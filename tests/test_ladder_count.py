@@ -163,20 +163,57 @@ def test_verify_grid_builds_forms_once_per_rung(monkeypatch):
 
 def _small_cache(monkeypatch, entries: int, dim: int):
     """A rung cache that holds about `entries` rungs at cutoff `dim`."""
-    limit = entries * (fock._ENTRY_OVERHEAD + fock._FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize)
+    limit = entries * fock._entry_bytes(dim)
     monkeypatch.setattr(fock, "_RUNGS", fock._RungCache(limit))
     return limit
 
 
 def test_warm_fills_at_most_half_the_cache(monkeypatch):
-    # warm sizes its slab by what the cache counts for an entry, forms
-    # included, so the slab takes exactly half of a cache of 20 entries
+    # warmed sizes its slab by what the cache counts for an entry, forms
+    # included, so the first slab takes exactly half of a cache of 20 entries
     limit = _small_cache(monkeypatch, 20, 64)
     keys = [(PointerParams(r=0.05 * k), 0.3) for k in range(30)]
     assert all(fock._first_cutoff(pointer, strength) == 64 for pointer, strength in keys)
-    count = fock.warm(keys)
-    assert all(fock._RUNGS.get((pointer, strength, 64)) is not None for pointer, strength in keys[:count])
+    order = fock.warmed(keys)
+    assert next(order) == 0
+    count = len(fock._RUNGS)
+    assert all(fock._RUNGS.get((pointer, strength, 64)) not in (None, fock._MISS) for pointer, strength in keys[:count])
     assert count == 10 and fock._RUNGS.used == limit // 2
+    assert list(order) == list(range(1, len(keys)))
+
+
+def test_warmed_yields_each_group_after_its_slab(monkeypatch):
+    # on a cache of three rungs, with repeated keys, two interleaved
+    # families and invalid points: every index once, each key's indices
+    # together and ascending, groups in order of first appearance, one _fill
+    # per slab, and each rung cached when its first index is yielded
+    _small_cache(monkeypatch, 3, 64)
+    keys = [None if k % 7 == 3 else (PointerParams(r=0.5 * (k % 3)), 0.3 * (k % 2)) for k in range(24)]
+    slabs, fill = [], fock._fill
+    monkeypatch.setattr(fock, "_fill", lambda rungs: slabs.append((rungs, [])) or fill(rungs))
+    for index in fock.warmed(keys):
+        key = keys[index]
+        assert key is None or fock._RUNGS.get((*key, fock._first_cutoff(*key))) not in (None, fock._MISS)
+        slabs[-1][1].append(index)
+    order = [index for _, indices in slabs for index in indices]
+    assert order == [i for key in dict.fromkeys(keys) for i, k in enumerate(keys) if k == key]
+    assert len(slabs) > 2
+    for rungs, indices in slabs:
+        assert indices
+        assert [rung[:2] for rung in rungs] == [k for k in dict.fromkeys(keys[i] for i in indices) if k is not None]
+
+
+def test_verify_grid_computes_no_rung_outside_a_slab(monkeypatch):
+    # a cache that holds a few of the fast grid's 8 first rungs: each slab
+    # is warmed before its points run, so no point computes its rung cold
+    # (a one-key _fill)
+    _small_cache(monkeypatch, 6, 96)
+    fills, fill = [], fock._fill
+    monkeypatch.setattr(fock, "_fill", lambda rungs: fills.append(list(rungs)) or fill(rungs))
+    checks = verify._cross_engine_checks(verify.fast_grid())
+    assert all(c.passed for c in checks)
+    assert len(fills) > 1 and sum(map(len, fills)) == 8
+    assert all(len(rungs) > 1 for rungs in fills)
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig4"])
@@ -278,7 +315,7 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
             assert len(vectors) == 4
             assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors[:3])
             assert vectors[3].nbytes == fock._FORMS_BYTES and not vectors[3].flags.writeable
-            assert fock._entry_bytes(entry) == fock._ENTRY_OVERHEAD + sum(v.nbytes for v in vectors)
+            assert fock._entry_bytes(dim) == fock._ENTRY_OVERHEAD + sum(v.nbytes for v in vectors)
             assert dim <= fock.HARD_DIM_CAP
             assert fock._RUNGS.used <= limit
         del entry, vectors

@@ -208,6 +208,10 @@ class TestQfi:
         monkeypatch.setattr(analytic, "fisher_information", skewed)
         with pytest.raises(metrology.EngineMismatch):
             metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
+        # a NaN difference fails the shared rule too, as it fails verify's ratio
+        monkeypatch.setattr(analytic, "fisher_information", lambda *args: math.nan)
+        with pytest.raises(metrology.EngineMismatch):
+            metrology.qfi(QFI_SEL, QFI_PTR, Coupling(strength=1.0))
 
     def test_orthogonal_selection_propagates(self):
         with pytest.raises(OrthogonalSelection):

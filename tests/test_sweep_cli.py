@@ -266,6 +266,14 @@ class TestPresets:
         with pytest.raises(ValueError):
             sweep.preset("fig9")
 
+    @pytest.mark.parametrize("name", ["fig1", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_first_full_row_fills_every_column(self, name):
+        # a row writes its outputs' cells by the header's own column names,
+        # so an unflagged row at nonzero strength leaves only the flag empty
+        header, rows = sweep.run_sweep(sweep.preset(name))
+        row = next(r for r in rows if not r["flag"] and float(r["strength[1]"]) > 0.0)
+        assert [col for col in header if not row.get(col, "")] == ["flag"]
+
     def test_shift_sweep_geometry(self):
         spec = sweep.preset("fig1")
         assert spec.axis == "phi"
