@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import analytic, fock
+from . import analytic, metrology
 from .model import Coupling, PointerParams, SelectionParams, weak_value
 
 
@@ -161,19 +161,14 @@ def run_audit() -> list[AuditRecord]:
         pointer = PointerParams(r=pt.r, theta=pt.theta, sigma=pt.sigma)
         coupling = Coupling(strength=pt.strength)
 
-        closed = analytic.pointer_shifts(sel, pointer, coupling)
         t_dx, t_dp = transcribed_shifts(sel, pointer, coupling)
-        t_norm = transcribed_inverse_norm_sq(sel, pointer, coupling)
-
-        bundle = fock.branch_bundle(sel, pointer, coupling)
-        o_dx, o_dp = bundle.kept_shift()
-        o_norm = bundle.norm_sq / 2.0
-
-        records.append(AuditRecord(pt, "position_shift", t_dx, closed.position_shift, o_dx))
-        records.append(AuditRecord(pt, "momentum_shift", t_dp, closed.momentum_shift, o_dp))
-        records.append(
-            AuditRecord(pt, "inverse_norm_sq", t_norm, closed.inverse_norm_sq, o_norm)
-        )
+        reading = metrology.Reading(sel, pointer, coupling)
+        for quantity, transcribed, pair in (
+            ("position_shift", t_dx, reading.position_shift),
+            ("momentum_shift", t_dp, reading.momentum_shift),
+            ("inverse_norm_sq", transcribed_inverse_norm_sq(sel, pointer, coupling), reading.half_norm),
+        ):
+            records.append(AuditRecord(pt, quantity, transcribed, pair.closed, pair.oracle))
     return records
 
 

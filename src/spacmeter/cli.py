@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import replace
 
-from . import analytic, audit, fock, metrology
+from . import audit, metrology
 from . import sweep as sweep_mod
 from . import verify as verify_mod
 from .model import Coupling, PointerParams, SelectionParams
@@ -70,14 +70,12 @@ def _point(args) -> tuple[SelectionParams, PointerParams, Coupling]:
 
 
 def _cmd_transition(args) -> int:
-    sel, pointer, coupling = _point(args)
-    closed = analytic.transition_value(sel, pointer, coupling)
-    oracle = fock.transition_moment(sel, pointer, coupling)
-    print(f"transition_closed.re = {closed.real!r}")
-    print(f"transition_closed.im = {closed.imag!r}")
-    print(f"transition_oracle.re = {oracle.real!r}")
-    print(f"transition_oracle.im = {oracle.imag!r}")
-    print(f"residual = {abs(closed - oracle)!r}")
+    pair = metrology.Reading(*_point(args)).transition
+    print(f"transition_closed.re = {pair.closed.real!r}")
+    print(f"transition_closed.im = {pair.closed.imag!r}")
+    print(f"transition_oracle.re = {pair.oracle.real!r}")
+    print(f"transition_oracle.im = {pair.oracle.imag!r}")
+    print(f"residual = {abs(pair.closed - pair.oracle)!r}")
     return 0
 
 

@@ -1,27 +1,23 @@
-"""Readout quality metrics: signal-to-noise comparison and Fisher information.
+"""One two-engine record per parameter point, and the readout metrics read from it.
 
-Two figures of merit for estimating the interaction strength from the
-pointer position:
-
-* snr       -- ratio of the conditioned scheme's shift-to-spread SNR to the
-               keep-everything scheme's, with the success probability priced
-               in.  Trial count cancels in the ratio and that is asserted.
-* qfi       -- quantum Fisher information of the kept pointer state with
-               respect to the interaction strength, from the exact strength
-               derivative of the state, weighted by the selection probability.
-
-All reported values come from the matrix engine; the closed-form engine
-checks the conditioned shift and the Fisher information (EngineMismatch).
+A Reading holds a point's one certified branch bundle (fock) and one closed-form
+evaluation (analytic); every two-engine number of the point is a read of it, a
+Pair of both engines' values and their gap over the shared budget.  `snr` (the
+conditioned over the keep-everything shift-to-spread SNR, success probability
+priced in) and `qfi` (the kept state's Fisher information in the strength) report
+the matrix engine's values, checked against the closed forms (EngineMismatch).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analytic, fock
+from .fock import _once
 from .model import (
     Coupling,
     PointerParams,
@@ -35,6 +31,9 @@ REFERENCE_GUARD = 1e-12
 # the budget of cross_ratio, shared with the verifier
 CROSS_REL = 1e-8
 CROSS_ABS = 1e-12
+
+# g sin(phi) cos(delta) is the unconditioned shift exactly, so its budget is absolute
+UNCONDITIONED_ABS = 1e-10
 
 
 class DegenerateReference(ValueError):
@@ -71,69 +70,145 @@ def cross_ratio(a: float, b: float) -> float:
     return abs(a - b) / (CROSS_REL * max(abs(a), abs(b)) + CROSS_ABS)
 
 
-def _check_engines(name: str, oracle: float, closed: float) -> None:
-    if not cross_ratio(oracle, closed) <= 1.0:
-        raise EngineMismatch(f"{name}: matrix {oracle!r} vs closed form {closed!r}")
+class Pair(NamedTuple):
+    """One quantity from both engines; they agree where ratio, their gap over its budget, is <= 1."""
+
+    closed: float | complex
+    oracle: float | complex
+    ratio: float
+
+    def agreed(self, name: str) -> float:
+        """The oracle value, or EngineMismatch unless ratio <= 1 (so a NaN raises)."""
+        if not self.ratio <= 1.0:
+            raise EngineMismatch(f"{name}: matrix {self.oracle!r} vs closed form {self.closed!r}")
+        return self.oracle
 
 
-def _check_snr_inputs(sel: SelectionParams, coupling: Coupling, trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be a positive count")
-    if coupling.strength <= 0.0:
-        raise ValueError("snr needs a nonzero coupling strength")
-    if abs(strong_conditional_value(sel)) <= REFERENCE_GUARD:
-        raise DegenerateReference(
-            "reference shift g*sin(phi)*cos(delta) vanishes at this selection"
-        )
+def _pair(closed: float, oracle: float) -> Pair:
+    return Pair(closed, oracle, cross_ratio(oracle, closed))
 
 
-def snr(
-    sel: SelectionParams,
-    pointer: PointerParams,
-    coupling: Coupling,
-    trials: int = 1,
-) -> SnrReport:
-    """Shift-to-spread SNRs of both schemes and their trial-free ratio.
+@dataclass(frozen=True, eq=False)
+class Reading:
+    """A parameter point's two-engine record; each read runs on first access and is kept.
 
-    The conditioned-route SNR carries a sqrt(trials * keep probability)
-    factor, the reference carries sqrt(trials); the ratio is therefore
-    independent of the trial count, which is asserted to one part in 1e12.
-    A non-finite ratio or SNR raises ArithmeticError.
+    `bundle` is the point's one cutoff ladder and `closed` its one
+    analytic.pointer_shifts.  A pair reads the closed form first, except the
+    Fisher pair, as their callers always did: an input that fails in both
+    engines raises what it did.
     """
-    _check_snr_inputs(sel, coupling, trials)  # before paying for a ladder
-    return snr_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials)
+
+    sel: SelectionParams
+    pointer: PointerParams
+    coupling: Coupling
+
+    @_once
+    def bundle(self) -> fock.BranchBundle:
+        return fock.branch_bundle(self.sel, self.pointer, self.coupling)
+
+    @_once
+    def closed(self) -> analytic.ShiftResult:
+        return analytic.pointer_shifts(self.sel, self.pointer, self.coupling)
+
+    @_once
+    def position_shift(self) -> Pair:
+        return _pair(self.closed.position_shift, self.bundle.kept_shift()[0])
+
+    @_once
+    def momentum_shift(self) -> Pair:
+        return _pair(self.closed.momentum_shift, self.bundle.kept_shift()[1])
+
+    @_once
+    def transition(self) -> Pair:
+        closed, oracle = self.closed.transition, self.bundle.transition()
+        return Pair(closed, oracle, max(cross_ratio(oracle.real, closed.real), cross_ratio(oracle.imag, closed.imag)))
+
+    @_once
+    def half_norm(self) -> Pair:
+        """N / 2, the closed form's ShiftResult.inverse_norm_sq."""
+        return _pair(self.closed.inverse_norm_sq, self.bundle.norm_sq / 2.0)
+
+    @_once
+    def fisher(self) -> Pair:
+        oracle = self.bundle.fisher()
+        return _pair(analytic.fisher_information(self.sel, self.pointer, self.coupling), oracle)
+
+    @_once
+    def unconditioned_shift(self) -> Pair:
+        """Against g sin(phi) cos(delta), on the absolute budget UNCONDITIONED_ABS."""
+        closed = self.coupling.coupling_constant(self.pointer) * strong_conditional_value(self.sel)
+        oracle = self.bundle.unconditioned_shift()
+        return Pair(closed, oracle, abs(oracle - closed) / UNCONDITIONED_ABS)
+
+    def pairs(self) -> dict[str, Pair]:
+        """Every two-engine quantity of the point, by name."""
+        return {
+            "position shift": self.position_shift,
+            "momentum shift": self.momentum_shift,
+            "transition value": self.transition,
+            "inverse norm": self.half_norm,
+            "Fisher information": self.fisher,
+            "unconditioned shift": self.unconditioned_shift,
+        }
+
+    def snr(self, trials: int = 1) -> SnrReport:
+        """Shift-to-spread SNRs of both schemes and their trial-free ratio.
+
+        The conditioned-route SNR carries a sqrt(trials * keep probability)
+        factor, the reference carries sqrt(trials); the ratio is therefore
+        independent of the trial count, which is asserted to one part in 1e12.
+        A non-finite ratio or SNR raises ArithmeticError.  The inputs are
+        checked before the bundle is read.
+        """
+        if trials < 1:
+            raise ValueError("trials must be a positive count")
+        if self.coupling.strength <= 0.0:
+            raise ValueError("snr needs a nonzero coupling strength")
+        if abs(strong_conditional_value(self.sel)) <= REFERENCE_GUARD:
+            raise DegenerateReference("reference shift g*sin(phi)*cos(delta) vanishes at this selection")
+        bundle = self.bundle
+        spread = math.sqrt(bundle.kept_moments.position_variance)
+        shift = self.position_shift.agreed("conditioned position shift")
+
+        shift_plain = bundle.unconditioned_shift()
+        spread_plain = math.sqrt(bundle.unconditioned.position_variance)
+
+        keep_prob = postselection_probability(self.sel)
+        ratio = math.sqrt(keep_prob) * (shift * spread_plain) / (spread * shift_plain)
+        conditioned = math.sqrt(trials * keep_prob) * shift / spread
+        unconditioned = math.sqrt(trials) * shift_plain / spread_plain
+        if not all(math.isfinite(v) for v in (ratio, conditioned, unconditioned)):
+            raise ArithmeticError(
+                f"non-finite SNR: ratio {ratio!r}, conditioned {conditioned!r}, unconditioned {unconditioned!r}"
+            )
+        if abs(ratio - conditioned / unconditioned) > 1e-12 * abs(ratio):
+            raise ArithmeticError("trial count failed to cancel in the SNR ratio")
+        return SnrReport(conditioned, unconditioned, ratio, trials, keep_prob)
+
+    def qfi(self, trials: int = 1) -> FisherReport:
+        """Fisher information of the kept pointer state in the coupling strength.
+
+        An exact read of the bundle (BranchBundle.fisher), with no step, so
+        strength 0 is valid; trials is checked before the bundle is read.
+        """
+        if trials < 1:
+            raise ValueError("trials must be a positive count")
+        fisher = self.fisher.agreed("Fisher information")
+        weighted = postselection_probability(self.sel) * fisher
+        bound = 1.0 / (trials * weighted) if weighted > 0.0 else math.inf
+        if not (fisher >= 0.0 and weighted <= fisher and bound > 0.0 and math.isfinite(bound)):
+            raise ArithmeticError(f"Fisher information {fisher!r} left its admissible range")
+        return FisherReport(fisher=fisher, weighted_fisher=weighted, cramer_rao=bound)
 
 
-def snr_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> SnrReport:
-    """snr read off an already certified branch bundle."""
-    sel, pointer, coupling = bundle.sel, bundle.pointer, bundle.coupling
-    _check_snr_inputs(sel, coupling, trials)
-    shift, _ = bundle.kept_shift()
-    spread = math.sqrt(bundle.kept_moments.position_variance)
+def snr(sel: SelectionParams, pointer: PointerParams, coupling: Coupling, trials: int = 1) -> SnrReport:
+    """Reading.snr of a fresh record."""
+    return Reading(sel, pointer, coupling).snr(trials)
 
-    closed = analytic.pointer_shifts(sel, pointer, coupling).position_shift
-    _check_engines("conditioned position shift", shift, closed)
 
-    shift_plain = bundle.unconditioned_shift()
-    spread_plain = math.sqrt(bundle.unconditioned.position_variance)
-
-    keep_prob = postselection_probability(sel)
-    ratio = math.sqrt(keep_prob) * (shift * spread_plain) / (spread * shift_plain)
-    conditioned = math.sqrt(trials * keep_prob) * shift / spread
-    unconditioned = math.sqrt(trials) * shift_plain / spread_plain
-    if not all(math.isfinite(v) for v in (ratio, conditioned, unconditioned)):
-        raise ArithmeticError(
-            f"non-finite SNR: ratio {ratio!r}, conditioned {conditioned!r}, unconditioned {unconditioned!r}"
-        )
-    if abs(ratio - conditioned / unconditioned) > 1e-12 * abs(ratio):
-        raise ArithmeticError("trial count failed to cancel in the SNR ratio")
-    return SnrReport(
-        postselected=conditioned,
-        nonpostselected=unconditioned,
-        ratio=ratio,
-        trials=trials,
-        success_probability=keep_prob,
-    )
+def qfi(sel: SelectionParams, pointer: PointerParams, coupling: Coupling, trials: int = 1) -> FisherReport:
+    """Reading.qfi of a fresh record."""
+    return Reading(sel, pointer, coupling).qfi(trials)
 
 
 def fisher_from_states(center, near, step: float) -> float:
@@ -144,33 +219,3 @@ def fisher_from_states(center, near, step: float) -> float:
     """
     overlap = abs(complex(np.vdot(center, near)))
     return 8.0 * (1.0 - overlap) / (step * step)
-
-
-def qfi(
-    sel: SelectionParams,
-    pointer: PointerParams,
-    coupling: Coupling,
-    trials: int = 1,
-) -> FisherReport:
-    """Fisher information of the kept pointer state in the coupling strength.
-
-    An exact-derivative read of the certified bundle (BranchBundle.fisher), checked
-    against analytic.fisher_information; there is no step, so strength 0 is valid.
-    """
-    if trials < 1:  # before paying for a ladder
-        raise ValueError("trials must be a positive count")
-    return qfi_from_bundle(fock.branch_bundle(sel, pointer, coupling), trials)
-
-
-def qfi_from_bundle(bundle: fock.BranchBundle, trials: int = 1) -> FisherReport:
-    """qfi read off an already certified branch bundle."""
-    if trials < 1:
-        raise ValueError("trials must be a positive count")
-    fisher = bundle.fisher()
-    closed = analytic.fisher_information(bundle.sel, bundle.pointer, bundle.coupling)
-    _check_engines("Fisher information", fisher, closed)
-    weighted = postselection_probability(bundle.sel) * fisher
-    bound = 1.0 / (trials * weighted) if weighted > 0.0 else math.inf
-    if not (fisher >= 0.0 and weighted <= fisher and bound > 0.0 and math.isfinite(bound)):
-        raise ArithmeticError(f"Fisher information {fisher!r} left its admissible range")
-    return FisherReport(fisher=fisher, weighted_fisher=weighted, cramer_rao=bound)

@@ -2,18 +2,15 @@
 
 A sweep varies one axis parameter over a linear range, optionally crossed
 with a family of values for a second parameter (one curve per family value).
-Every grid point is evaluated independently and becomes one CSV row holding
-the requested quantities from both engines plus their residual, the
-truncation certificate (cutoff and tail mass), and an error flag.  Rows are
-emitted in grid order but evaluated in the order fock.warmed yields them
-from one (pointer, strength) key per row: rows that share a key back to
-back, a slab at a time, after the slab's first rungs are built with one
-displacement series per block of one cutoff and padding and each rung's
-selection-independent forms once.  A row then reads its rung from the
-cache, bit for bit what a single call computes.  A row's oracle values,
-chi and Fisher information all read one certified branch bundle, as 2x2
-contractions of its rung's forms, so its cutoff ladder runs once.  Floats
-are written via repr, so identical configs produce byte-identical files.
+Each grid point becomes one CSV row: its requested outputs, its truncation
+certificate (cutoff and tail mass) and an error flag.  Every number in a row
+is a read of the point's metrology.Reading: the shift and transition cells
+both engines' values and their residual, chi, qfi and crb the record's snr
+and qfi, so the point's cutoff ladder and each closed form run once.  Rows
+are emitted in grid order but evaluated in the order fock.warmed yields
+them, one (pointer, strength) key per row, so rows that share a rung run
+back to back, not a family apart, bit for bit what single calls compute.
+Floats are written via repr, so identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from . import analytic, fock, metrology, svg
+from . import fock, metrology, svg
 from .model import ANGLE_SLACK, Coupling, PointerParams, SelectionParams
 
 AXES = ("phi", "strength", "r")
@@ -56,6 +53,9 @@ _BASE_COLUMNS = (
 )
 
 _TAIL_COLUMNS = ("n_max[1]", "tail_mass[1]", "flag")
+
+# a point's parameters, in the order of their _BASE_COLUMNS
+_PARAMS = ("phi", "delta", "r", "theta", "sigma", "strength")
 
 
 @dataclass(frozen=True)
@@ -129,42 +129,32 @@ def _cells(row: dict[str, str], spec: SweepSpec, name: str, *values) -> None:
 
 
 def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str, str]:
-    row = {
-        "index": str(index),
-        "phi[rad]": _fmt(params["phi"]),
-        "delta[rad]": _fmt(params["delta"]),
-        "r[1]": _fmt(params["r"]),
-        "theta[rad]": _fmt(params["theta"]),
-        "sigma[length]": _fmt(params["sigma"]),
-        "strength[1]": _fmt(params["strength"]),
-        "flag": "",
-    }
+    row = {"index": str(index), "flag": ""}
+    row.update((col, _fmt(params[name])) for col, name in zip(_BASE_COLUMNS[1:], _PARAMS))
     try:
         sel = SelectionParams(phi=params["phi"], delta=params["delta"])
-        pointer = PointerParams(r=params["r"], theta=params["theta"], sigma=params["sigma"])
-        coupling = Coupling(strength=params["strength"])
+        pointer, coupling = _point(params["r"], params["theta"], params["sigma"], params["strength"])
+        reading = metrology.Reading(sel, pointer, coupling)
+        row["n_max[1]"] = str(reading.bundle.n_max)
+        row["tail_mass[1]"] = _fmt(reading.bundle.tail_mass)
 
-        bundle = fock.branch_bundle(sel, pointer, coupling)
-        row["n_max[1]"] = str(bundle.n_max)
-        row["tail_mass[1]"] = _fmt(bundle.tail_mass)
-
-        if any(o in spec.outputs for o in ("dx", "dp", "transition")):
-            closed = analytic.pointer_shifts(sel, pointer, coupling)
-            oracle_dx, oracle_dp = bundle.kept_shift()
-            g = coupling.coupling_constant(pointer)
-            dx, dp = closed.position_shift, closed.momentum_shift
-            # momentum over g is measured in its natural unit g / sigma^2
+        # shift cells write residuals and never raise on a mismatch
+        g = coupling.coupling_constant(pointer)
+        if "dx" in spec.outputs:
+            dx, oracle_dx, _ = reading.position_shift
             _cells(row, spec, "dx", dx, oracle_dx, abs(dx - oracle_dx), dx / g if g > 0.0 else None)
+        if "dp" in spec.outputs:
+            # momentum over g is measured in its natural unit g / sigma^2
+            dp, oracle_dp, _ = reading.momentum_shift
             _cells(row, spec, "dp", dp, oracle_dp, abs(dp - oracle_dp),
                    dp * pointer.sigma ** 2 / g if g > 0.0 else None)
-            if "transition" in spec.outputs:
-                t, oracle_t = closed.transition, bundle.transition()
-                _cells(row, spec, "transition", t.real, t.imag, oracle_t.real, oracle_t.imag, abs(t - oracle_t))
-
+        if "transition" in spec.outputs:
+            t, oracle_t, _ = reading.transition
+            _cells(row, spec, "transition", t.real, t.imag, oracle_t.real, oracle_t.imag, abs(t - oracle_t))
         if "chi" in spec.outputs:
-            _cells(row, spec, "chi", metrology.snr_from_bundle(bundle, spec.trials).ratio)
+            _cells(row, spec, "chi", reading.snr(spec.trials).ratio)
         if "qfi" in spec.outputs or "crb" in spec.outputs:
-            report = metrology.qfi_from_bundle(bundle, spec.trials)
+            report = reading.qfi(spec.trials)
             _cells(row, spec, "qfi", report.weighted_fisher)
             _cells(row, spec, "crb", report.cramer_rao)
     except (ValueError, ArithmeticError, RuntimeError) as err:
@@ -175,14 +165,7 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
     """Evaluate the grid; returns (header, rows) with rows in grid order."""
     jobs: list[dict[str, float]] = []
-    fixed = {
-        "phi": spec.phi,
-        "delta": spec.delta,
-        "r": spec.r,
-        "theta": spec.theta,
-        "sigma": spec.sigma,
-        "strength": spec.strength,
-    }
+    fixed = {name: getattr(spec, name) for name in _PARAMS}
     families = list(spec.family_values) if spec.family else [None]
     for fam_val in families:
         for axis_val in spec.axis_values():
@@ -191,25 +174,25 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
                 point[spec.family] = fam_val
             point[spec.axis] = axis_val
             jobs.append(point)
-    # Rows that share a pointer and a strength share fock's cached rungs, so
-    # they run back to back: a strength axis would otherwise put a whole
-    # family's worth of strengths between two reads of one rung.
     rows: list[dict[str, str]] = [{}] * len(jobs)
-    for i in fock.warmed(_rung_key(p["r"], p["theta"], p["sigma"], p["strength"]) for p in jobs):
+    for i in fock.warmed(map(_rung_key, jobs)):
         rows[i] = _evaluate(spec, i, jobs[i])
     return spec.header(), rows
 
 
 @lru_cache(maxsize=1024)
-def _rung_key(r: float, theta: float, sigma: float, strength: float):
-    """The (pointer, strength) key fock caches a rung under, or None for an invalid point.
+def _point(r: float, theta: float, sigma: float, strength: float) -> tuple[PointerParams, Coupling]:
+    """A row's pointer and coupling, memoized: rows that share a pointer share one object, matched by identity."""
+    return PointerParams(r=r, theta=theta, sigma=sigma), Coupling(strength=strength)
 
-    Memoized: rows that share a key share one pointer, built and compared once.
-    """
+
+def _rung_key(params: dict[str, float]):
+    """The (pointer, strength) key fock caches a row's rung under, or None for an invalid point."""
     try:
-        return PointerParams(r=r, theta=theta, sigma=sigma), Coupling(strength=strength).strength
+        pointer, coupling = _point(params["r"], params["theta"], params["sigma"], params["strength"])
     except ValueError:
         return None
+    return pointer, coupling.strength
 
 
 def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:

@@ -1,21 +1,21 @@
 """Cross-engine verification suites and the formula audit report.
 
 run_verify drives every authoritative consistency check the package makes:
-closed forms against the matrix oracle over a parameter grid, the weak and
-strong coupling limits, truncation health (cutoff doubling, for the shift
-and for the displaced branches, unitarity, norms, canonical commutator),
-and the fidelity estimator of the Fisher information against its exact
-value.  The grid's points run in the order fock.warmed yields them, a slab
-of first rungs at a time (the full grid's 124 fit in one), so each rung's
-forms are built once.  Each check keeps its worst tolerance-normalized
-ratio and the first parameter point in that order where it was seen, and
-the report prints both.  It also emits the transcription audit table; by
-policy those discrepancies are reported but never counted as failures,
-since they document the source text rather than this package.
+each two-engine quantity of a grid point's metrology.Reading, by the
+record's own ratio, the weak and strong coupling limits, truncation health
+(cutoff doubling, for the shift and for the displaced branches, unitarity,
+norms, canonical commutator), and the fidelity estimator of the Fisher
+information against its exact value.  The grid's points run in the order
+fock.warmed yields them, so each rung's forms are built once.  Each check
+keeps its worst tolerance-normalized ratio and the first parameter point in
+that order where it was seen, and the report prints both.  It also emits
+the transcription audit table, whose discrepancies document the source text
+and so are reported but never counted as failures.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, audit, fock, metrology
-from .metrology import cross_ratio
 from .model import (
     Coupling,
     PointerParams,
@@ -77,17 +76,11 @@ def _ratio(diff: float, budget: float) -> float:
 
 
 def _grid(strengths, phis, deltas, radii) -> list[tuple[SelectionParams, PointerParams, Coupling]]:
-    return [
-        (
-            SelectionParams(phi=float(phi), delta=delta),
-            PointerParams(r=r, theta=math.pi / 6),
-            Coupling(strength=strength),
-        )
-        for strength in strengths
-        for phi in phis
-        for delta in deltas
-        for r in radii
-    ]
+    """Every (strength, phi, delta, r) point, each distinct parameter built once, so caches match by identity."""
+    couplings = [Coupling(strength=strength) for strength in strengths]
+    sels = [SelectionParams(phi=float(phi), delta=delta) for phi in phis for delta in deltas]
+    pointers = [PointerParams(r=r, theta=math.pi / 6) for r in radii]
+    return [(sel, pointer, coupling) for coupling, sel, pointer in itertools.product(couplings, sels, pointers)]
 
 
 def standard_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
@@ -133,26 +126,12 @@ def _worst_of(rows, label: str = "{}") -> list[CheckResult]:
     ]
 
 
-def _cross_engine_ratios(sel, pointer, coupling) -> dict[str, float]:
-    closed = analytic.pointer_shifts(sel, pointer, coupling)
-    bundle = fock.branch_bundle(sel, pointer, coupling)
-    o_dx, o_dp = bundle.kept_shift()
-    o_t, c_t = bundle.transition(), closed.transition
-    expected = coupling.coupling_constant(pointer) * strong_conditional_value(sel)
-    closed_fisher = analytic.fisher_information(sel, pointer, coupling)
-    return {
-        "position shift": cross_ratio(closed.position_shift, o_dx),
-        "momentum shift": cross_ratio(closed.momentum_shift, o_dp),
-        "transition value": max(cross_ratio(c_t.real, o_t.real), cross_ratio(c_t.imag, o_t.imag)),
-        "inverse norm": cross_ratio(closed.inverse_norm_sq, bundle.norm_sq / 2.0),
-        "Fisher information": cross_ratio(closed_fisher, bundle.fisher()),
-        "unconditioned shift": _ratio(abs(bundle.unconditioned_shift() - expected), 1e-10),
-    }
-
-
 def _cross_engine_checks(points) -> list[CheckResult]:
     order = fock.warmed((pointer, coupling.strength) for _, pointer, coupling in points)
-    rows = ((_label(*points[i]), _cross_engine_ratios(*points[i])) for i in order)
+    rows = (
+        (_label(*points[i]), {name: pair.ratio for name, pair in metrology.Reading(*points[i]).pairs().items()})
+        for i in order
+    )
     return _worst_of(rows, "cross-engine {} on grid")
 
 
@@ -167,7 +146,6 @@ def _limit_checks() -> list[CheckResult]:
             for r in (0.0, 2.0):
                 pointer = PointerParams(r=r, theta=math.pi / 6)
                 t_weak = analytic.transition_value(sel, pointer, weak_coupling)
-                t_strong = analytic.transition_value(sel, pointer, strong_coupling)
                 shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
                 g = strong_coupling.coupling_constant(pointer)
                 rows.append((_label(sel, pointer, weak_coupling), {
@@ -176,7 +154,7 @@ def _limit_checks() -> list[CheckResult]:
                 }))
                 rows.append((_label(sel, pointer, strong_coupling), {
                     "strong limit: transition -> sin(phi)cos(delta)":
-                        _ratio(abs(t_strong - target), 1e-8),
+                        _ratio(abs(shifts.transition - target), 1e-8),
                     "strong limit: position shift -> g sin(phi)cos(delta)":
                         _ratio(abs(shifts.position_shift - g * target), 1e-6 * g),
                     "strong limit: momentum shift -> 0": _ratio(abs(shifts.momentum_shift), 1e-6),

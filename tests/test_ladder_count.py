@@ -1,4 +1,5 @@
-"""One certified cutoff ladder per parameter point, whatever is read from it,
+"""One certified cutoff ladder and one call of each closed form per
+parameter point, whatever is read from it,
 one cached rung per (pointer, strength, cutoff), whatever selection reads it,
 one Gram block of forms per rung, read by every selection by contraction,
 and one displacement series per cutoff and padded size in a warmed slab."""
@@ -33,23 +34,50 @@ def ladders(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """Records the calls of each closed form a point record reads, by name."""
+    return {name: _count_calls(monkeypatch, name, analytic) for name in ("pointer_shifts", "fisher_information")}
+
+
 QUERIES = {
     "snr": lambda: metrology.snr(SEL, PTR, CPL, trials=10),
     "qfi": lambda: metrology.qfi(SEL, PTR, CPL),
     "transition_moment": lambda: fock.transition_moment(SEL, PTR, CPL),
 }
+# the closed forms each query checks its oracle value against: (pointer_shifts, fisher_information) calls
+QUERY_CLOSED_FORMS = {"snr": (1, 0), "qfi": (0, 1), "transition_moment": (0, 0)}
 
 
-@pytest.mark.parametrize("call", QUERIES.values(), ids=QUERIES.keys())
-def test_point_query_runs_one_ladder(ladders, call):
-    call()
+@pytest.mark.parametrize("name", QUERIES)
+def test_point_query_runs_one_ladder(ladders, closed_forms, name):
+    QUERIES[name]()
     assert len(ladders) == 1
+    assert tuple(map(len, closed_forms.values())) == QUERY_CLOSED_FORMS[name]
+
+
+REFUSED = {
+    "snr-trials": lambda: metrology.snr(SEL, PTR, CPL, trials=0),
+    "snr-strength": lambda: metrology.snr(SEL, PTR, Coupling(strength=0.0)),
+    "snr-degenerate": lambda: metrology.snr(SelectionParams(phi=SEL.phi, delta=math.pi / 2), PTR, CPL),
+    "qfi-trials": lambda: metrology.qfi(SEL, PTR, CPL, trials=0),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_query_runs_no_ladder(ladders, closed_forms, call):
+    # a point record checks a query's inputs before its first read
+    with pytest.raises(ValueError):
+        call()
+    assert ladders == [] and all(calls == [] for calls in closed_forms.values())
 
 
 @pytest.mark.parametrize(
-    "outputs", [("dx", "transition"), ("chi",), ("qfi", "crb")], ids=lambda o: "+".join(o)
+    "outputs", [("dx", "transition"), ("chi",), ("qfi", "crb"), ("dx", "chi", "qfi")], ids=lambda o: "+".join(o)
 )
-def test_sweep_row_runs_one_ladder(ladders, outputs):
+def test_sweep_row_runs_one_ladder(ladders, closed_forms, outputs):
+    # a row's shift cells and chi read one closed-form evaluation, its qfi
+    # and crb one closed-form Fisher information
     spec = sweep.SweepSpec(axis="strength", start=0.5, stop=1.0, count=2, outputs=outputs)
     params = {
         "phi": SEL.phi,
@@ -63,24 +91,41 @@ def test_sweep_row_runs_one_ladder(ladders, outputs):
     assert row["flag"] == ""
     assert all(row[col] for col in spec.header() if col != "flag")
     assert len(ladders) == 1
+    assert len(closed_forms["pointer_shifts"]) == int(bool({"dx", "chi"} & set(outputs)))
+    assert len(closed_forms["fisher_information"]) == int("qfi" in outputs)
 
 
-def test_verify_grid_point_runs_one_ladder(ladders):
+def test_verify_grid_point_runs_one_ladder(ladders, closed_forms):
     checks = verify._cross_engine_checks([(SEL, PTR, CPL)])
     assert len(checks) == 6 and all(c.passed for c in checks)
     assert len(ladders) == 1
+    assert [len(calls) for calls in closed_forms.values()] == [1, 1]
 
 
-def _count_calls(monkeypatch, name):
-    """Records one entry per call of fock.<name>."""
+def test_verify_grid_and_sweep_compare_no_pointers(monkeypatch):
+    # the grid builds each distinct pointer once, and a sweep row reads the
+    # pointer its rung key holds, so the rung cache and the kernel cache
+    # match a point's pointer by identity, never by __eq__
+    analytic.real_axis_kernel.cache_clear()  # the rung cache starts empty in every test
+    compared, equal = [], PointerParams.__eq__
+    monkeypatch.setattr(PointerParams, "__eq__", lambda self, other: compared.append(other) or equal(self, other))
+    checks = verify._cross_engine_checks(verify.fast_grid())
+    assert all(c.passed for c in checks)
+    _, rows = sweep.run_sweep(replace(sweep.preset("fig3b"), count=5))
+    assert all(row["flag"] == "" for row in rows)
+    assert compared == []
+
+
+def _count_calls(monkeypatch, name, module=fock):
+    """Records one entry per call of module.<name>."""
     calls = []
-    original = getattr(fock, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fock, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from spacmeter import analytic, fock, metrology
+from spacmeter import analytic, fock, metrology, sweep, verify
 from spacmeter.model import (
     Coupling,
     OrthogonalSelection,
@@ -24,6 +24,41 @@ QFI_PTR = PointerParams(r=2.0, theta=math.pi / 6)
 
 BENCH_SEL = SelectionParams(phi=math.pi / 2, delta=0.0)
 BENCH_PTR = PointerParams(r=0.0)
+
+
+@pytest.fixture
+def skewed_position_shift(monkeypatch):
+    """analytic.pointer_shifts with its position shift off by 0.1."""
+    true_shifts = analytic.pointer_shifts
+
+    def skewed(sel, pointer, coupling):
+        res = true_shifts(sel, pointer, coupling)
+        return dataclasses.replace(res, position_shift=res.position_shift + 0.1)
+
+    monkeypatch.setattr(analytic, "pointer_shifts", skewed)
+
+
+def test_skewed_closed_form_is_seen_alike_by_every_view(skewed_position_shift):
+    # snr (TestSnr), sweep rows and verify's grid read one record per point:
+    # chi refuses the point after its certificate is written, the dx cells
+    # only report the gap, and verify names where it is worst
+    spec = sweep.SweepSpec(axis="strength", start=0.3, stop=0.6, count=2, phi=SNR_SEL.phi,
+                           delta=SNR_SEL.delta, r=SNR_PTR.r, theta=SNR_PTR.theta, outputs=("chi",))
+    _, rows = sweep.run_sweep(spec)
+    assert [row["flag"] for row in rows] == ["EngineMismatch"] * 2
+    assert all(row["n_max[1]"] and row["tail_mass[1]"] and "chi[1]" not in row for row in rows)
+    _, rows = sweep.run_sweep(dataclasses.replace(spec, outputs=("dx",)))
+    assert [row["flag"] for row in rows] == [""] * 2
+    assert all(float(row["dx_residual[length]"]) == pytest.approx(0.1, rel=1e-9) for row in rows)
+
+    grid = verify.fast_grid()
+    checks = {c.name: c for c in verify._cross_engine_checks(grid)}
+    failed = checks["cross-engine position shift on grid"]
+    assert [name for name, c in checks.items() if not c.passed] == [failed.name]
+    order = list(fock.warmed((pointer, coupling.strength) for _, pointer, coupling in grid))
+    ratios = [metrology.Reading(*grid[i]).position_shift.ratio for i in order]
+    assert failed.worst == max(ratios) > 1.0
+    assert failed.point == verify._label(*grid[order[ratios.index(failed.worst)]])
 
 
 class TestSnr:
@@ -93,15 +128,8 @@ class TestSnr:
             metrology.snr(SelectionParams(phi=1.0), PointerParams(r=2.0, sigma=1e200), Coupling(strength=1.0))
         assert type(err.value) is ArithmeticError
 
-    def test_engine_disagreement_is_fatal(self, monkeypatch):
-        true_shifts = analytic.pointer_shifts
-
-        def skewed(sel, pointer, coupling):
-            res = true_shifts(sel, pointer, coupling)
-            return dataclasses.replace(res, position_shift=res.position_shift + 0.1)
-
-        monkeypatch.setattr(analytic, "pointer_shifts", skewed)
-        with pytest.raises(metrology.EngineMismatch):
+    def test_engine_disagreement_is_fatal(self, skewed_position_shift):
+        with pytest.raises(metrology.EngineMismatch, match="^conditioned position shift: matrix "):
             metrology.snr(SNR_SEL, SNR_PTR, SNR_CPL)
 
 

@@ -151,6 +151,20 @@ class TestRunSweep:
             fresh = metrology.qfi(sel, pointer, coupling, spec.trials).weighted_fisher
             assert row["qfi[1]"] == repr(fresh)
 
+    def test_warmed_fig3a_chi_equals_fresh_calls(self):
+        # a chi cell and a fresh snr call read the same record, so a cold
+        # call at the row's point must give the same bits
+        spec = dataclasses.replace(sweep.preset("fig3a"), count=9)
+        _, rows = sweep.run_sweep(spec)
+        for row in rows:
+            assert row["flag"] == ""
+            fock._RUNGS.clear()
+            sel = SelectionParams(phi=float(row["phi[rad]"]), delta=float(row["delta[rad]"]))
+            pointer = PointerParams(r=float(row["r[1]"]), theta=float(row["theta[rad]"]))
+            coupling = Coupling(strength=float(row["strength[1]"]))
+            fresh = metrology.snr(sel, pointer, coupling, spec.trials).ratio
+            assert row["chi[1]"] == repr(fresh)
+
     def test_orthogonal_endpoint_is_flagged_not_fatal(self):
         spec = sweep.SweepSpec(
             axis="phi", start=0.0, stop=math.pi, count=3, outputs=("dx",)
