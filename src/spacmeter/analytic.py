@@ -9,11 +9,11 @@ coherent state |phi> = gamma * adag |alpha> (`real_axis_kernel`),
 derived by normal ordering the displaced ladder operators over the coherent
 overlap <alpha|alpha + nu>, together with the slopes of K0 along real nu.
 The strength is real, so the kernel is only ever needed at nu = 0 and
-nu = +-strength; one branch sum (`_branch_sum`) turns it into the weak-value
-weights, the norm, the transition value, the shifts and the Fisher
-information.  No truncation is involved anywhere.  The independent matrix
-engine lives in `fock` and shares no formulas with this module, so
-agreement between the two is a real consistency check.
+nu = +-strength; one branch sum (`_branch_sum`, memoized per point) turns it
+into the weak-value weights, the norm, the transition value, the shifts and
+the Fisher information.  No truncation is involved anywhere.  The
+independent matrix engine lives in `fock` and shares no formulas with this
+module, so agreement between the two is a real consistency check.
 
 Identities the kernel satisfies (exercised by the test suite):
     K0(0) = 1
@@ -32,6 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .model import (
     Coupling,
@@ -89,23 +90,21 @@ def real_axis_kernel(
     return k0, k1, slope, curve
 
 
-@dataclass(frozen=True)
-class _BranchSum:
+class _BranchSum(NamedTuple):
     """The kept combination (1+A) D(+G/2)|phi> + (1-A) D(-G/2)|phi>, summed over branches."""
 
-    weak: complex     # A
-    diag: float       # 1 + |A|^2
-    weight: complex   # (1+A)* (1-A); its conjugate weighs the forward cross term
+    weak: complex        # A
+    diag: float          # 1 + |A|^2
+    weight: complex      # (1+A)* (1-A); its conjugate weighs the forward cross term
     back: tuple[complex, complex, complex, complex]  # the kernel at -G
-    cross: complex    # (1+A)* (1-A) K0(-G)
-    half_norm: float  # N / 2 = 1 + |A|^2 + Re[cross]
-
-    @property
-    def transition(self) -> complex:
-        return (2.0 * self.weak.real - 1j * self.cross.imag) / self.half_norm
+    half_norm: float     # N / 2 = 1 + |A|^2 + Re[(1+A)* (1-A) K0(-G)]
+    transition: complex  # (2 Re A - i Im[(1+A)* (1-A) K0(-G)]) / (N / 2)
 
 
+@lru_cache(maxsize=64)
 def _branch_sum(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> _BranchSum:
+    """The branch sum at a point; memoized, so transition_value, pointer_shifts
+    and fisher_information at one point, called one after another, share it."""
     a = weak_value(sel)
     diag = 1.0 + abs(a) ** 2
     weight = (1.0 + a).conjugate() * (1.0 - a)
@@ -114,7 +113,7 @@ def _branch_sum(sel: SelectionParams, pointer: PointerParams, coupling: Coupling
     half_norm = diag + cross.real
     if not half_norm > 0.0:
         raise ArithmeticError(f"nonpositive norm {half_norm}; parameters out of range")
-    return _BranchSum(a, diag, weight, back, cross, half_norm)
+    return _BranchSum(a, diag, weight, back, half_norm, (2.0 * a.real - 1j * cross.imag) / half_norm)
 
 
 def transition_value(

@@ -14,10 +14,11 @@ The selection enters only through the weak value A.  Once a rung's gates
 pass, `_forms` computes what no selection changes: with S+- = up +- down,
 the 2x2 blocks that the reads use of the Gram matrix of S+-, a S+-, a^2 S+-
 and G S+-, two of the same on the guard band, and the ladder means of psi,
-up and down.  The kept combination is B = S+ + A S- and its twin
-C = A S+ + S-, so each selection's norm, kept gate, moments, transition
-value and Fisher information are 2x2 contractions of those forms, not
-walks of the vectors.
+up and down.  The rung keeps the blocks as Python numbers and the means as
+quadrature moments in the pointer's sigma.  The kept combination is
+B = S+ + A S- and its twin C = A S+ + S-, so a point's norm, kept gate,
+moments, transition value and Fisher information are 2x2 contractions of
+those blocks, made in one pass (`_rung`), not walks of the vectors.
 
 The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
 Chebyshev series (`_series`) gives both signs from the same ladder actions,
@@ -39,6 +40,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .model import (
     PointerMoments,
     PointerParams,
     SelectionParams,
+    _once,
     postselection_probability,
     weak_value,
 )
@@ -67,16 +70,15 @@ HARD_DIM_CAP = 4096
 RUNG_CACHE_BYTES = 16 << 20
 _ENTRY_OVERHEAD = 1024
 
-# A rung's forms (_forms) are one read-only complex array.  With S = (S+, S-),
-# its first eight 2x2 blocks [i, j] are <F S_i | F' S_j> for these ladder
-# words (F, F'), G = adag - a: (1, 1), (1, a), (1, a^2), (a, a), (1, G) and
-# (G, G) of the Gram matrix, then (1, 1) and (G, G) on the last GUARD_BAND
-# levels.  Its last nine entries are (<a>, <a^2>, <n>) of psi, up and down.
+# A rung's forms (_forms) are eight 2x2 blocks of Python complex numbers, four
+# per block in row order.  With S = (S+, S-), block [i, j] is <F S_i | F' S_j>
+# for these ladder words (F, F'), G = adag - a: (1, 1), (1, a), (1, a^2),
+# (a, a), (1, G) and (G, G) of the Gram matrix, then (1, 1) and (G, G) on the
+# last GUARD_BAND levels.  Its means are the _quad_moments of psi, up and
+# down, 15 Python floats.  Both are charged as CPython objects: a tuple of 40
+# bytes and 8 per item, 32 bytes per complex and 24 per float.
 _NORM, _LOWER, _LOWER2, _NUMBER, _SLOPE, _SPEED, _EDGE, _EDGE_SPEED = range(8)
-_FORMS_BYTES = 16 * (8 * 4 + 9)
-# The kept combination B = S+ + A S- and its twin C = A S+ + S-, as rows of a
-# bundle's coefficients ((1, A), (A, 1)).
-_B, _C = 0, 1
+_FORMS_BYTES = (40 + 32 * (8 + 32)) + (40 + 15 * (8 + 24))
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -107,6 +109,9 @@ class TruncationPolicy:
         if self.initial_dim is not None:
             return min(self.initial_dim, HARD_DIM_CAP)
         return _first_cutoff(pointer, strength)
+
+
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 def _first_cutoff(pointer: PointerParams, strength: float) -> int:
@@ -414,8 +419,12 @@ def _words(rows: np.ndarray) -> np.ndarray:
 
 
 def _ladder_means(v: np.ndarray) -> tuple[complex, complex, float]:
-    """(<a>, <a^2>, <n>) from the _words of v, no dense matrices."""
-    _, av, a2v, _ = _words(v)
+    """(<a>, <a^2>, <n>) from a v and a^2 v alone, the products _words forms, no dense matrices."""
+    roots = _roots(len(v))
+    av, a2v = np.empty(len(v), dtype=np.complex128), np.empty(len(v), dtype=np.complex128)
+    av[-1] = a2v[-1] = 0.0
+    np.multiply(roots, v[1:], out=av[:-1])
+    np.multiply(roots, av[1:], out=a2v[:-1])
     return complex(np.vdot(v, av)), complex(np.vdot(v, a2v)), float(np.vdot(av, av).real)
 
 
@@ -426,6 +435,18 @@ def _quad_moments(mean_a: complex, mean_a2: complex, mean_n: float, sigma: float
     mean_x2 = sigma * sigma * (2.0 * mean_a2.real + 2.0 * mean_n + 1.0)
     mean_p2 = (2.0 * mean_n + 1.0 - 2.0 * mean_a2.real) / (4.0 * sigma * sigma)
     return mean_x, mean_p, mean_x2, mean_p2, mean_n
+
+
+def _sigma_means(ladder, sigma: float) -> tuple | None:
+    """The _quad_moments of each (<a>, <a^2>, <n>) of ladder, as one tuple.
+
+    None where 4 sigma^2 underflows (sigma below about 1e-162): _quad_moments
+    divides by it there, and the moment reads raise (BranchBundle._means).
+    """
+    try:
+        return tuple(m for v in ladder for m in _quad_moments(*v, sigma))
+    except ZeroDivisionError:
+        return None
 
 
 def _pointer_moments(mean_x, mean_p, mean_x2, mean_p2, mean_n) -> PointerMoments:
@@ -444,8 +465,8 @@ def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMo
     return _pointer_moments(*_quad_moments(*_ladder_means(v), pointer.sigma))
 
 
-def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """The forms every selection of a rung reads, from S+- = up +- down.
+def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[tuple, list]:
+    """The forms every selection of a rung reads, from S+- = up +- down, and the ladder means of psi, up and down.
 
     The words F S, F = (1, a, a^2, G), are _words of S+- with G S = adag S - a S;
     their Gram matrix is one complex matmul, and the means are _ladder_means of
@@ -460,63 +481,49 @@ def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     forms = np.concatenate([
         gram[[0, 0, 0, 1, 0, 3], :, [0, 1, 2, 1, 3, 3], :].ravel(),
         band[[0, 1], :, [0, 1], :].ravel(),
-        np.ravel([_ladder_means(v) for v in (psi, up, down)]),
     ])
-    forms.flags.writeable = False
-    return forms
+    return tuple(forms.tolist()), [_ladder_means(v) for v in (psi, up, down)]
 
 
-def _contract(forms: list, block: int, x, y) -> complex:
-    """x^H M y for the 2x2 block M of a rung's forms (as a list) and coefficient pairs x, y."""
-    m00, m01, m10, m11 = forms[4 * block : 4 * block + 4]
-    return x[0].conjugate() * (m00 * y[0] + m01 * y[1]) + x[1].conjugate() * (m10 * y[0] + m11 * y[1])
+class _Rung(NamedTuple):
+    """A cached rung: the selection-independent half of a point at one cutoff."""
 
-
-class _once:
-    """A read kept in the instance's __dict__ on first access (cached_property takes a lock there on Python 3.11)."""
-
-    def __init__(self, read) -> None:
-        self.read, self.name, self.__doc__ = read, read.__name__, read.__doc__
-
-    def __get__(self, bundle, owner=None):
-        return self if bundle is None else bundle.__dict__.setdefault(self.name, self.read(bundle))
+    psi: np.ndarray    # pointer state, read-only
+    tail: float        # its mass past the cutoff
+    up: np.ndarray     # D(+strength/2) psi, read-only
+    down: np.ndarray   # D(-strength/2) psi, read-only
+    forms: tuple       # _forms' eight 2x2 blocks
+    means: tuple | None  # _quad_moments of psi, up and down in the pointer's sigma (_sigma_means)
 
 
 @dataclass(frozen=True, eq=False)
 class BranchBundle:
     """A point's pointer state and both displaced branches at its certified cutoff.
 
-    Every oracle observable of the point is a read of it: of its rung's
-    ladder means, or a 2x2 contraction of its rung's forms with the
-    coefficients of the kept combination B = S+ + A S- and its twin
-    C = A S+ + S-.  coeffs and norm_sq are None only where the selection has
-    no weak value (phi = pi), and so is `kept`.
+    Every oracle observable of the point is a read of it: a value of the
+    point's one pass (_rung) over its rung's forms, the 2x2 contractions with
+    the coefficients of the kept combination B = S+ + A S- and its twin
+    C = A S+ + S-, or of its rung's means.  The kept reads are None only where
+    the selection has no weak value (phi = pi), and so is `kept`.
     """
 
     sel: SelectionParams
     pointer: PointerParams
     coupling: Coupling
-    psi: np.ndarray       # pointer state
-    up: np.ndarray        # D(+strength/2) psi
-    down: np.ndarray      # D(-strength/2) psi
     n_max: int
-    tail_mass: float      # pointer tail plus the kept state's guard-band mass
-    forms: list           # the rung's forms
-    coeffs: tuple | None  # ((1, A), (A, 1)): B and C in the basis (S+, S-)
-    norm_sq: float | None  # N = <B|B>
+    tail_mass: float               # pointer tail plus the kept state's guard-band mass
+    norm_sq: float | None          # N = <B|B>
+    _rung: _Rung
+    _reads: tuple | None           # the kept state's _quad_moments, <B|C> / N, and F (None past the guard band)
 
-    def _read(self, block: int, x: int, y: int) -> complex:
-        return _contract(self.forms, block, self.coeffs[x], self.coeffs[y])
-
-    def _moments(self, vector: int) -> tuple[float, float, float, float, float]:
-        """_quad_moments of psi (0), up (1) or down (2) from the rung's means."""
-        mean_a, mean_a2, mean_n = self.forms[32 + 3 * vector : 35 + 3 * vector]
-        return _quad_moments(mean_a, mean_a2, mean_n.real, self.pointer.sigma)
+    psi = property(lambda self: self._rung.psi, doc="The pointer state.")
+    up = property(lambda self: self._rung.up, doc="D(+strength/2) psi.")
+    down = property(lambda self: self._rung.down, doc="D(-strength/2) psi.")
 
     @_once
     def kept(self) -> AssembledState | None:
         """The normalized kept combination, built on first access from the same N."""
-        if self.coeffs is None:
+        if self.norm_sq is None:
             return None
         a, norm_sq = weak_value(self.sel), self.norm_sq
         combo = ((1.0 + a) * self.up + (1.0 - a) * self.down) / math.sqrt(norm_sq)
@@ -526,57 +533,63 @@ class BranchBundle:
             success_probability=postselection_probability(self.sel) * norm_sq / 4.0,
         )
 
+    def _means(self) -> tuple:
+        """The rung's means: every moment read starts here, so each raises where _quad_moments could not make them."""
+        means = self._rung.means
+        if means is None:
+            raise ZeroDivisionError("float division by zero")  # what _quad_moments raised at this sigma
+        return means
+
     @_once
     def base(self) -> PointerMoments:
-        return _pointer_moments(*self._moments(0))
+        return _pointer_moments(*self._means()[:5])
 
     @_once
     def kept_moments(self) -> PointerMoments:
         """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
-        norm_sq = self.norm_sq
-        return _pointer_moments(*_quad_moments(
-            self._read(_LOWER, _B, _B) / norm_sq,
-            self._read(_LOWER2, _B, _B) / norm_sq,
-            self._read(_NUMBER, _B, _B).real / norm_sq,
-            self.pointer.sigma,
-        ))
+        self._means()
+        return _pointer_moments(*self._reads[0])
 
     def kept_shift(self) -> tuple[float, float]:
         """Kept minus initial pointer means, (position, momentum)."""
-        kept, base = self.kept_moments, self.base
-        return kept.position_mean - base.position_mean, kept.momentum_mean - base.momentum_mean
+        base, kept = self._means(), self._reads[0]
+        return kept[0] - base[0], kept[1] - base[1]
 
     def transition(self) -> complex:
         """<B|C> / <B|B>, C the observable-weighted twin of B: sigma_x flips the reverse branch."""
-        return self._read(_NORM, _B, _C) / self.norm_sq
+        return self._reads[1]
 
     def fisher(self) -> float:
         """Fisher information of the normalized kept state in the strength g, exactly.
 
         d/dg D(+-g/2) = +-(1/2) G D(+-g/2) with G = adag - a, so the kept combination
         B has dB = G C / 2, and F = 4 (<dB|dB> / N - |<B|dB>|^2 / N^2), N = <B|B>.
+        Raises TruncationInsufficient where dB has mass past the guard band.
         """
-        norm_sq = self.norm_sq
-        if self._read(_EDGE_SPEED, _C, _C).real > 4.0 * norm_sq * TAIL_TOL:  # 2 dB on the guard band
+        fisher = self._reads[2]
+        if fisher is None:
             raise TruncationInsufficient(f"strength derivative past the guard band, n_max={self.n_max}")
-        overlap = self._read(_SLOPE, _B, _C)
-        return (self._read(_SPEED, _C, _C).real - abs(overlap) ** 2 / norm_sq) / norm_sq
+        return fisher
 
     @_once
-    def unconditioned(self) -> PointerMoments:
-        """Keep-everything statistics, the sigma_x-population mixture of the branches.
+    def _mix(self) -> tuple:
+        """_quad_moments of the keep-everything state: those of up and down, weighted by the sigma_x populations.
 
         The system branches are orthogonal, so the pointer branches do not interfere.
         """
-        sel = self.sel
+        sel, means = self.sel, self._means()
         phase = cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
         w_up = abs(math.cos(sel.phi / 2.0) + phase) ** 2 / 2.0
         w_dn = abs(math.cos(sel.phi / 2.0) - phase) ** 2 / 2.0
-        m_up, m_dn = self._moments(1), self._moments(2)
-        return _pointer_moments(*(w_up * u + w_dn * d for u, d in zip(m_up, m_dn)))
+        return tuple([w_up * u + w_dn * d for u, d in zip(means[5:10], means[10:15])])
+
+    @_once
+    def unconditioned(self) -> PointerMoments:
+        """Keep-everything statistics, the sigma_x-population mixture of the branches."""
+        return _pointer_moments(*self._mix)
 
     def unconditioned_shift(self) -> float:
-        return self.unconditioned.position_mean - self.base.position_mean
+        return self._mix[0] - self._rung.means[0]
 
 
 _MISS = object()
@@ -595,10 +608,10 @@ class _RungCache:
 
     def get(self, key):
         """The entry under key, freshened, or _MISS."""
-        if key not in self._entries:
-            return _MISS
-        self._entries.move_to_end(key)
-        return self._entries[key]
+        entry = self._entries.get(key, _MISS)
+        if entry is not _MISS:
+            self._entries.move_to_end(key)
+        return entry
 
     def put(self, key, entry) -> None:
         if key in self._entries:
@@ -615,7 +628,7 @@ class _RungCache:
 
 
 def _entry_bytes(dim: int) -> int:
-    """What a rung at cutoff dim costs the cache: psi, up and down, the forms and the overhead."""
+    """What a rung at cutoff dim costs the cache: psi, up and down, the forms and means, and the overhead."""
     return _ENTRY_OVERHEAD + _FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize
 
 
@@ -633,8 +646,7 @@ def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
 def _fill(rungs) -> dict:
     """Entries for (pointer, strength, cutoff) keys, computing the uncached ones as one slab.
 
-    An entry is (psi, tail, up, down, forms) with read-only vectors and
-    forms, or None at the first gate that rejects the cutoff: the pointer
+    An entry is a _Rung, or None at the first gate that rejects the cutoff: the pointer
     tail, the reach, either padded branch's mass past the cutoff and both
     guard bands.  Each block of one cutoff and one pad runs one series, its
     distinct pointers as rows and each (pointer, strength/2 >= 0) as a rung.
@@ -664,7 +676,8 @@ def _fill(rungs) -> dict:
             if max(past, _band_mass(up), _band_mass(down)) <= TAIL_TOL:
                 up.flags.writeable = down.flags.writeable = False
                 psi, tail = pointers[key[0], dim]
-                found[key] = (psi, tail, up, down, _forms(psi, up, down))
+                forms, ladder = _forms(psi, up, down)
+                found[key] = _Rung(psi, tail, up, down, forms, _sigma_means(ladder, key[0].sigma))
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -709,24 +722,45 @@ def warmed(keys):
 def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
     """The bundle at one cutoff, or None at the first gate that rejects it.
 
-    The selection-independent gates run in _branches; after them, where the
-    selection has a weak value, its contraction of the rung's forms and the
-    kept combination's guard band over N.
+    The selection-independent gates run in _branches.  Where the selection
+    has a weak value A, the rest is the point's one pass over the rung's
+    forms: the kept combination's guard band over N, then every kept read.
+    Each is x^H M y = x0* (m00 y0 + m01 y1) + x1* (m10 y0 + m11 y1) for a
+    block M = (m00, m01, m10, m11), with x and y the coefficients of
+    B = (1, A) or C = (A, 1), written out term for term: each product with
+    the coefficient 1.0 stays, since as a complex product it can flip the
+    sign of a zero.
     """
-    found = _branches(pointer, coupling.strength, dim)
-    if found is None:
+    rung = _branches(pointer, coupling.strength, dim)
+    if rung is None:
         return None
-    psi, tail, up, down, forms = found
-    forms, coeffs, norm_sq = forms.tolist(), None, None
-    if weak is not None:
-        coeffs = ((1.0, weak), (weak, 1.0))
-        b = coeffs[_B]
-        norm_sq = _contract(forms, _NORM, b, b).real
-        out_band = _contract(forms, _EDGE, b, b).real / norm_sq
-        if out_band > TAIL_TOL:
-            return None
-        tail += out_band
-    return BranchBundle(sel, pointer, coupling, psi, up, down, dim, tail, forms, coeffs, norm_sq)
+    if weak is None:
+        return BranchBundle(sel, pointer, coupling, dim, rung.tail, None, rung, None)
+    a, ac = weak, weak.conjugate()
+    (n00, n01, n10, n11,  # _NORM
+     l00, l01, l10, l11,  # _LOWER
+     q00, q01, q10, q11,  # _LOWER2
+     u00, u01, u10, u11,  # _NUMBER
+     s00, s01, s10, s11,  # _SLOPE
+     v00, v01, v10, v11,  # _SPEED
+     e00, e01, e10, e11,  # _EDGE
+     w00, w01, w10, w11) = rung.forms  # _EDGE_SPEED
+    norm_sq = (1.0 * (n00 * 1.0 + n01 * a) + ac * (n10 * 1.0 + n11 * a)).real  # <B|B>
+    out_band = (1.0 * (e00 * 1.0 + e01 * a) + ac * (e10 * 1.0 + e11 * a)).real / norm_sq
+    if out_band > TAIL_TOL:
+        return None
+    kept = None if rung.means is None else _quad_moments(
+        (1.0 * (l00 * 1.0 + l01 * a) + ac * (l10 * 1.0 + l11 * a)) / norm_sq,
+        (1.0 * (q00 * 1.0 + q01 * a) + ac * (q10 * 1.0 + q11 * a)) / norm_sq,
+        (1.0 * (u00 * 1.0 + u01 * a) + ac * (u10 * 1.0 + u11 * a)).real / norm_sq,
+        pointer.sigma,
+    )
+    transition = (1.0 * (n00 * a + n01 * 1.0) + ac * (n10 * a + n11 * 1.0)) / norm_sq  # <B|C> / N
+    fisher = None
+    if not (ac * (w00 * a + w01 * 1.0) + 1.0 * (w10 * a + w11 * 1.0)).real > 4.0 * norm_sq * TAIL_TOL:  # 2 dB on the band
+        overlap = 1.0 * (s00 * a + s01 * 1.0) + ac * (s10 * a + s11 * 1.0)  # <B|G C>
+        fisher = ((ac * (v00 * a + v01 * 1.0) + 1.0 * (v10 * a + v11 * 1.0)).real - abs(overlap) ** 2 / norm_sq) / norm_sq
+    return BranchBundle(sel, pointer, coupling, dim, rung.tail + out_band, norm_sq, rung, (kept, transition, fisher))
 
 
 def _ladder(sel, pointer, coupling, weak, policy: TruncationPolicy) -> BranchBundle:
@@ -746,12 +780,12 @@ def branch_bundle(
 
     policy sets only the starting cutoff; every gate reads the module constants.
     """
-    return _ladder(sel, pointer, coupling, weak_value(sel), policy or TruncationPolicy())
+    return _ladder(sel, pointer, coupling, weak_value(sel), policy or _DEFAULT_POLICY)
 
 
 def spac_state(pointer: PointerParams) -> FockVector:
     """Photon-added coherent state as a certified truncated vector."""
-    for dim in _cutoffs(pointer, 0.0, TruncationPolicy()):
+    for dim in _cutoffs(pointer, 0.0, _DEFAULT_POLICY):
         psi, tail = _spac_amplitudes(pointer, dim)
         if tail <= TAIL_TOL:
             return FockVector(amplitudes=psi, n_max=dim, tail_mass=tail)
@@ -793,7 +827,7 @@ def nonpostselected_moments(
         weak = weak_value(sel)
     except OrthogonalSelection:
         weak = None
-    return _ladder(sel, pointer, coupling, weak, TruncationPolicy()).unconditioned
+    return _ladder(sel, pointer, coupling, weak, _DEFAULT_POLICY).unconditioned
 
 
 def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarray, float]:

@@ -17,11 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic, fock
-from .fock import _once
 from .model import (
     Coupling,
     PointerParams,
     SelectionParams,
+    _once,
     postselection_probability,
     strong_conditional_value,
 )
@@ -90,12 +90,15 @@ def _pair(closed: float, oracle: float) -> Pair:
 
 @dataclass(frozen=True, eq=False)
 class Reading:
-    """A parameter point's two-engine record; each read runs on first access and is kept.
+    """A parameter point's two-engine record.
 
-    `bundle` is the point's one cutoff ladder and `closed` its one
-    analytic.pointer_shifts.  A pair reads the closed form first, except the
-    Fisher pair, as their callers always did: an input that fails in both
-    engines raises what it did.
+    `bundle`, the point's one cutoff ladder, whose one pass holds every
+    oracle value, and `closed`, its one analytic.pointer_shifts, run on first
+    access and are kept.  A pair is made from them, or from the closed form
+    it names, on each read; the closed forms at the point share its one
+    branch sum.  A pair reads the closed form first, except the Fisher pair,
+    as their callers always did: an input that fails in both engines raises
+    what it did.
     """
 
     sel: SelectionParams
@@ -110,30 +113,32 @@ class Reading:
     def closed(self) -> analytic.ShiftResult:
         return analytic.pointer_shifts(self.sel, self.pointer, self.coupling)
 
-    @_once
+    @property
     def position_shift(self) -> Pair:
         return _pair(self.closed.position_shift, self.bundle.kept_shift()[0])
 
-    @_once
+    @property
     def momentum_shift(self) -> Pair:
         return _pair(self.closed.momentum_shift, self.bundle.kept_shift()[1])
 
-    @_once
+    @property
     def transition(self) -> Pair:
-        closed, oracle = self.closed.transition, self.bundle.transition()
+        """From analytic.transition_value, which is sigma-free, not from `closed`."""
+        closed = analytic.transition_value(self.sel, self.pointer, self.coupling)
+        oracle = self.bundle.transition()
         return Pair(closed, oracle, max(cross_ratio(oracle.real, closed.real), cross_ratio(oracle.imag, closed.imag)))
 
-    @_once
+    @property
     def half_norm(self) -> Pair:
         """N / 2, the closed form's ShiftResult.inverse_norm_sq."""
         return _pair(self.closed.inverse_norm_sq, self.bundle.norm_sq / 2.0)
 
-    @_once
+    @property
     def fisher(self) -> Pair:
         oracle = self.bundle.fisher()
         return _pair(analytic.fisher_information(self.sel, self.pointer, self.coupling), oracle)
 
-    @_once
+    @property
     def unconditioned_shift(self) -> Pair:
         """Against g sin(phi) cos(delta), on the absolute budget UNCONDITIONED_ABS."""
         closed = self.coupling.coupling_constant(self.pointer) * strong_conditional_value(self.sel)

@@ -34,6 +34,16 @@ class OrthogonalSelection(ValueError):
     """Kept outcome is (numerically) orthogonal to the prepared qubit state."""
 
 
+class _once:
+    """A read kept in the instance's __dict__ on first access (cached_property takes a lock there on Python 3.11)."""
+
+    def __init__(self, read) -> None:
+        self.read, self.name, self.__doc__ = read, read.__name__, read.__doc__
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else instance.__dict__.setdefault(self.name, self.read(instance))
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -75,6 +85,20 @@ class SelectionParams:
             raise ValueError(f"phi must lie in [0, pi], got {phi}")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "delta", _wrap_angle(delta))
+        # hashed once, not a field: the branch-sum cache hashes a selection on every lookup
+        object.__setattr__(self, "_hash", hash((phi, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @_once
+    def _weak(self) -> complex:
+        """weak_value's value, evaluated on first use and kept: a selection is immutable."""
+        if postselection_probability(self) < ORTHOGONALITY_GUARD:
+            raise OrthogonalSelection(
+                f"kept outcome nearly orthogonal to preparation (phi={self.phi})"
+            )
+        return cmath.exp(1j * self.delta) * math.tan(self.phi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,10 @@ class Coupling:
         if strength < 0.0:
             raise ValueError(f"strength must be nonnegative, got {strength}")
         object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "_hash", hash((strength,)))  # as for a selection
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def coupling_constant(self, pointer: PointerParams) -> float:
         """Dimensionful interaction constant g for the given pointer width."""
@@ -150,13 +178,10 @@ def weak_value(sel: SelectionParams) -> complex:
     """Weak expectation of the measured observable: exp(i delta) * tan(phi/2).
 
     Diverges as the selection approaches orthogonality, so selections with
-    cos^2(phi/2) below the guard threshold are rejected.
+    cos^2(phi/2) below the guard threshold are rejected.  Evaluated once per
+    selection, whichever engine asks first.
     """
-    if postselection_probability(sel) < ORTHOGONALITY_GUARD:
-        raise OrthogonalSelection(
-            f"kept outcome nearly orthogonal to preparation (phi={sel.phi})"
-        )
-    return cmath.exp(1j * sel.delta) * math.tan(sel.phi / 2.0)
+    return sel._weak
 
 
 def strong_conditional_value(sel: SelectionParams) -> float:

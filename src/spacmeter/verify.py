@@ -108,31 +108,29 @@ def _label(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> 
     ).label()
 
 
-def _worst_of(rows, label: str = "{}") -> list[CheckResult]:
+def _worst_of(rows, label: str = "{}", where=str) -> list[CheckResult]:
     """One check per name in the rows' ratio dicts, holding its largest ratio and where it was.
 
-    rows are (point label, ratio dict) pairs.  A NaN ratio is the worst there
+    rows are (point, ratio dict) pairs, and where(point) is the label of a
+    held point, so only those are formatted.  A NaN ratio is the worst there
     is: the first one is held, and its check fails.
     """
-    worst: dict[str, tuple[float, str]] = {}
+    worst: dict[str, tuple] = {}
     for point, ratios in rows:
         for name, value in ratios.items():
             held = worst.setdefault(name, (0.0, point))
             if not math.isnan(held[0]) and not value <= held[0]:
                 worst[name] = (value, point)
     return [
-        CheckResult(label.format(name), value, value <= 1.0, point)
+        CheckResult(label.format(name), value, value <= 1.0, where(point))
         for name, (value, point) in worst.items()
     ]
 
 
 def _cross_engine_checks(points) -> list[CheckResult]:
     order = fock.warmed((pointer, coupling.strength) for _, pointer, coupling in points)
-    rows = (
-        (_label(*points[i]), {name: pair.ratio for name, pair in metrology.Reading(*points[i]).pairs().items()})
-        for i in order
-    )
-    return _worst_of(rows, "cross-engine {} on grid")
+    rows = ((i, {name: pair.ratio for name, pair in metrology.Reading(*points[i]).pairs().items()}) for i in order)
+    return _worst_of(rows, "cross-engine {} on grid", lambda i: _label(*points[i]))
 
 
 def _limit_checks() -> list[CheckResult]:

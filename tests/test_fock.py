@@ -388,15 +388,22 @@ class TestForms:
                 worst = max(worst, abs(a - b) / budget)
         assert worst <= 1e-2
 
+    @staticmethod
+    def _contract(bundle, block, x, y):
+        """x^H M y for the 2x2 block M of the bundle's rung's forms."""
+        m00, m01, m10, m11 = bundle._rung.forms[4 * block : 4 * block + 4]
+        return x[0].conjugate() * (m00 * y[0] + m01 * y[1]) + x[1].conjugate() * (m10 * y[0] + m11 * y[1])
+
     def test_guard_band_forms_match_the_band_mass(self):
         # the kept gate reads <B|B> over N on the guard band, the Fisher gate
         # <G C|G C> over N; both as _band_mass of the normalized vectors
         seen = 0
         for sel, pointer, coupling in self.POINTS:
-            bundle = fock.branch_bundle(sel, pointer, coupling)
+            bundle, a = fock.branch_bundle(sel, pointer, coupling), weak_value(sel)
+            b, c = (1.0, a), (a, 1.0)
             got = (
-                bundle._read(fock._EDGE, fock._B, fock._B).real / bundle.norm_sq,
-                bundle._read(fock._EDGE_SPEED, fock._C, fock._C).real / bundle.norm_sq,
+                self._contract(bundle, fock._EDGE, b, b).real / bundle.norm_sq,
+                self._contract(bundle, fock._EDGE_SPEED, c, c).real / bundle.norm_sq,
             )
             for g, w in zip(got, self._explicit(bundle)["bands"]):
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)

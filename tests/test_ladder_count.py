@@ -6,6 +6,7 @@ and one displacement series per cutoff and padded size in a warmed slab."""
 
 import math
 import pickle
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -100,6 +101,19 @@ def test_verify_grid_point_runs_one_ladder(ladders, closed_forms):
     assert len(checks) == 6 and all(c.passed for c in checks)
     assert len(ladders) == 1
     assert [len(calls) for calls in closed_forms.values()] == [1, 1]
+
+
+def test_verify_grid_point_evaluates_one_weak_value_and_one_branch_sum(monkeypatch):
+    # a selection keeps its weak value, which both engines read, and the
+    # closed forms at a point share its one branch sum
+    evaluated, read = [], SelectionParams._weak.read
+    monkeypatch.setattr(SelectionParams._weak, "read", lambda sel: evaluated.append(sel) or read(sel))
+    analytic._branch_sum.cache_clear()
+    sel = SelectionParams(phi=SEL.phi, delta=SEL.delta)
+    checks = verify._cross_engine_checks([(sel, PTR, CPL)])
+    assert len(checks) == 6 and all(c.passed for c in checks)
+    assert evaluated == [sel]
+    assert analytic._branch_sum.cache_info().misses == 1
 
 
 def test_verify_grid_and_sweep_compare_no_pointers(monkeypatch):
@@ -345,9 +359,10 @@ def test_bundle_vectors_are_read_only():
 
 def test_rung_cache_memory_is_bounded(monkeypatch):
     # the cache is bounded in bytes: each entry is at most three 1-D vectors
-    # at a cutoff no larger than HARD_DIM_CAP, their read-only forms and a
-    # fixed overhead, its accounted bytes never pass the limit, and clearing
-    # it frees no more
+    # at a cutoff no larger than HARD_DIM_CAP, their forms and means as
+    # Python numbers (charged _FORMS_BYTES, what CPython holds for them) and
+    # a fixed overhead, its accounted bytes never pass the limit, and
+    # clearing it frees no more
     assert fock._RUNGS.limit == fock.RUNG_CACHE_BYTES
     limit = _small_cache(monkeypatch, 8, 160)
     tracemalloc.start()
@@ -357,13 +372,16 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
             dim = fock.branch_bundle(SEL, pointer, Coupling(strength=strength)).n_max
             entry = fock._branches(pointer, strength, dim)
             vectors = [x for x in entry if isinstance(x, np.ndarray)]
-            assert len(vectors) == 4
-            assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors[:3])
-            assert vectors[3].nbytes == fock._FORMS_BYTES and not vectors[3].flags.writeable
-            assert fock._entry_bytes(dim) == fock._ENTRY_OVERHEAD + sum(v.nbytes for v in vectors)
+            assert len(vectors) == 3
+            assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors)
+            numbers = entry.forms + entry.means
+            assert [type(x) for x in numbers] == [complex] * 32 + [float] * 15
+            held = sys.getsizeof(entry.forms) + sys.getsizeof(entry.means) + sum(map(sys.getsizeof, numbers))
+            assert held <= fock._FORMS_BYTES
+            assert fock._entry_bytes(dim) == fock._ENTRY_OVERHEAD + fock._FORMS_BYTES + sum(v.nbytes for v in vectors)
             assert dim <= fock.HARD_DIM_CAP
             assert fock._RUNGS.used <= limit
-        del entry, vectors
+        del entry, vectors, numbers
         held = tracemalloc.get_traced_memory()[0]
         assert len(fock._RUNGS) < 12
         fock._RUNGS.clear()

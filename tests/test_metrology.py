@@ -61,6 +61,58 @@ def test_skewed_closed_form_is_seen_alike_by_every_view(skewed_position_shift):
     assert failed.point == verify._label(*grid[order[ratios.index(failed.worst)]])
 
 
+def _cold(sel, pointer, coupling):
+    """Fresh copies of a point's parameters, with fock's rungs and the closed-form caches emptied."""
+    fock._RUNGS.clear()
+    analytic.real_axis_kernel.cache_clear()
+    analytic._branch_sum.cache_clear()
+    return (SelectionParams(phi=sel.phi, delta=sel.delta),
+            PointerParams(r=pointer.r, theta=pointer.theta, sigma=pointer.sigma),
+            Coupling(strength=coupling.strength))
+
+
+def test_warmed_grid_pairs_equal_cold_readings():
+    # every pair of a grid point read in fock.warmed's order, from rungs
+    # warmed a slab at a time, is bit for bit a cold record's
+    grid = verify.fast_grid()
+    warm = {i: metrology.Reading(*grid[i]).pairs()
+            for i in fock.warmed((pointer, coupling.strength) for _, pointer, coupling in grid)}
+    assert sorted(warm) == list(range(len(grid)))
+    for i, point in enumerate(grid):
+        assert metrology.Reading(*_cold(*point)).pairs() == warm[i]
+
+
+@pytest.mark.parametrize(
+    "name, outputs", [("fig4", ("qfi", "crb")), ("fig1", ("dx", "dp", "transition"))], ids=["qfi+crb", "dx+dp+transition"]
+)
+def test_warmed_sweep_cells_equal_cold_single_calls(name, outputs):
+    # every output cell of a warmed sweep is what the single public calls
+    # give at its point from cold caches
+    spec = dataclasses.replace(sweep.preset(name), count=7, outputs=outputs)
+    _, rows = sweep.run_sweep(spec)
+    assert [row["flag"] for row in rows if row["flag"]] == ["OrthogonalSelection"] * (name == "fig1") * 6
+    for row in rows:
+        if row["flag"]:
+            continue
+        point = (SelectionParams(phi=float(row["phi[rad]"]), delta=float(row["delta[rad]"])),
+                 PointerParams(r=float(row["r[1]"]), theta=float(row["theta[rad]"]), sigma=float(row["sigma[length]"])),
+                 Coupling(strength=float(row["strength[1]"])))
+        if "qfi" in outputs:
+            report = metrology.qfi(*_cold(*point), spec.trials)
+            assert (row["qfi[1]"], row["crb[1]"]) == (repr(report.weighted_fisher), repr(report.cramer_rao))
+        else:
+            closed = analytic.pointer_shifts(*_cold(*point))
+            dx, dp = fock.branch_bundle(*_cold(*point)).kept_shift()
+            t_closed = analytic.transition_value(*_cold(*point))
+            t_oracle = fock.transition_moment(*_cold(*point))
+            cells = ("dx_closed[length]", "dx_oracle[length]", "dp_closed[1/length]", "dp_oracle[1/length]",
+                     "transition_closed.re[1]", "transition_closed.im[1]",
+                     "transition_oracle.re[1]", "transition_oracle.im[1]")
+            want = (closed.position_shift, dx, closed.momentum_shift, dp,
+                    t_closed.real, t_closed.imag, t_oracle.real, t_oracle.imag)
+            assert [row[col] for col in cells] == [repr(float(v)) for v in want]
+
+
 class TestSnr:
     def test_frozen_advantage_point(self):
         rep = metrology.snr(SNR_SEL, SNR_PTR, SNR_CPL, trials=100)

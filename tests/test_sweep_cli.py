@@ -226,6 +226,31 @@ class TestRunSweep:
             assert float(row["dx_residual[length]"]) <= 1e-10
             assert float(row["transition_residual[1]"]) <= 1e-10
 
+    def test_transition_cells_do_not_depend_on_sigma(self):
+        # the transition value is sigma-free: where the position shift
+        # overflows (sigma = 1.7e308), a transition row still reads what it
+        # reads at sigma = 1, while a row that also asks for dx is flagged
+        spec = sweep.SweepSpec(axis="strength", start=0.9, stop=1.0, count=2, phi=math.pi / 3,
+                               delta=math.pi / 6, r=2.0, theta=math.pi / 6, outputs=("transition",))
+        columns = sweep._OUTPUT_COLUMNS["transition"] + ("flag",)
+        cells = [
+            [[row[col] for col in columns] for row in sweep.run_sweep(dataclasses.replace(spec, sigma=sigma))[1]]
+            for sigma in (1.0, 1.7e308)
+        ]
+        assert cells[0] == cells[1] and all(row[-1] == "" for row in cells[0])
+        _, rows = sweep.run_sweep(dataclasses.replace(spec, sigma=1.7e308, outputs=("dx", "transition")))
+        assert [row["flag"] for row in rows] == ["ArithmeticError"] * 2
+
+    def test_tiny_sigma_fails_only_the_moment_reads(self):
+        # where 4 sigma^2 underflows (sigma = 1e-200) every moment read
+        # raises ZeroDivisionError, so a dx row is flagged; the transition
+        # value and the Fisher information read no moment
+        spec = sweep.SweepSpec(axis="strength", start=0.5, stop=1.0, count=2, sigma=1e-200, outputs=("transition", "qfi"))
+        _, rows = sweep.run_sweep(spec)
+        assert all(row["flag"] == "" and row["qfi[1]"] and row["transition_oracle.re[1]"] for row in rows)
+        _, rows = sweep.run_sweep(dataclasses.replace(spec, outputs=("dx",)))
+        assert [row["flag"] for row in rows] == ["ZeroDivisionError"] * 2
+
 
 class TestCsvAndPlot:
     def _small(self):
@@ -343,6 +368,18 @@ class TestCommandLine:
         assert "transition_closed.re = 0.72698397618694" in out
         assert "transition_oracle.re = " in out
         assert "residual = " in out
+
+    @pytest.mark.parametrize("sigma", ["1e305", "1.7e308"])
+    def test_transition_does_not_depend_on_sigma(self, capsys, sigma):
+        # the transition value is sigma-free, so it prints as at sigma = 1
+        # also where the position shift overflows (sigma = 1.7e308)
+        args = ["transition", "--phi", "pi/3", "--delta", "pi/6", "--r", "2", "--theta", "pi/6", "--strength", "0.9"]
+        outputs = []
+        for extra in ([], ["--sigma", sigma]):
+            assert cli.main(args + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert "transition_closed.re = 0.7269839761869437\n" in outputs[0]
 
     def test_snr_degenerate_reference_exits_two(self, capsys):
         code = cli.main(["snr", "--delta", "pi/2"])
