@@ -14,11 +14,12 @@ The selection enters only through the weak value A.  Once a rung's gates
 pass, `_forms` computes what no selection changes: with S+- = up +- down,
 the 2x2 blocks that the reads use of the Gram matrix of S+-, a S+-, a^2 S+-
 and G S+-, two of the same on the guard band, and the ladder means of psi,
-up and down.  The rung keeps the blocks as Python numbers and the means as
-quadrature moments in the pointer's sigma.  The kept combination is
-B = S+ + A S- and its twin C = A S+ + S-, so a point's norm, kept gate,
-moments, transition value and Fisher information are 2x2 contractions of
-those blocks, made in one pass (`_rung`), not walks of the vectors.
+up and down.  The rung keeps both as Python numbers and is sigma-free: the
+pointer's sigma is applied once, where a moment is read.  The kept
+combination is B = S+ + A S- and its twin C = A S+ + S-, so a point's norm,
+kept gate, ladder means, transition value and Fisher information are 2x2
+contractions of those blocks, made in one pass (`_rung`), not walks of the
+vectors.
 
 The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
 Chebyshev series (`_series`) gives both signs from the same ladder actions,
@@ -74,11 +75,12 @@ _ENTRY_OVERHEAD = 1024
 # per block in row order.  With S = (S+, S-), block [i, j] is <F S_i | F' S_j>
 # for these ladder words (F, F'), G = adag - a: (1, 1), (1, a), (1, a^2),
 # (a, a), (1, G) and (G, G) of the Gram matrix, then (1, 1) and (G, G) on the
-# last GUARD_BAND levels.  Its means are the _quad_moments of psi, up and
-# down, 15 Python floats.  Both are charged as CPython objects: a tuple of 40
+# last GUARD_BAND levels.  Its ladder means are (<a>, <a^2>, <n>) of psi, up
+# and down, a tuple of three tuples of two complex numbers and a float; no
+# sigma enters either.  Both are charged as CPython objects: a tuple of 40
 # bytes and 8 per item, 32 bytes per complex and 24 per float.
 _NORM, _LOWER, _LOWER2, _NUMBER, _SLOPE, _SPEED, _EDGE, _EDGE_SPEED = range(8)
-_FORMS_BYTES = (40 + 32 * (8 + 32)) + (40 + 15 * (8 + 24))
+_FORMS_BYTES = (40 + 32 * (8 + 32)) + (40 + 3 * 8) + 3 * (40 + 3 * 8 + 2 * 32 + 24)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -437,18 +439,6 @@ def _quad_moments(mean_a: complex, mean_a2: complex, mean_n: float, sigma: float
     return mean_x, mean_p, mean_x2, mean_p2, mean_n
 
 
-def _sigma_means(ladder, sigma: float) -> tuple | None:
-    """The _quad_moments of each (<a>, <a^2>, <n>) of ladder, as one tuple.
-
-    None where 4 sigma^2 underflows (sigma below about 1e-162): _quad_moments
-    divides by it there, and the moment reads raise (BranchBundle._means).
-    """
-    try:
-        return tuple(m for v in ladder for m in _quad_moments(*v, sigma))
-    except ZeroDivisionError:
-        return None
-
-
 def _pointer_moments(mean_x, mean_p, mean_x2, mean_p2, mean_n) -> PointerMoments:
     return PointerMoments(
         position_mean=mean_x,
@@ -465,7 +455,7 @@ def moments(state: FockVector | np.ndarray, pointer: PointerParams) -> PointerMo
     return _pointer_moments(*_quad_moments(*_ladder_means(v), pointer.sigma))
 
 
-def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[tuple, list]:
+def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[tuple, tuple]:
     """The forms every selection of a rung reads, from S+- = up +- down, and the ladder means of psi, up and down.
 
     The words F S, F = (1, a, a^2, G), are _words of S+- with G S = adag S - a S;
@@ -482,7 +472,7 @@ def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[tuple, li
         gram[[0, 0, 0, 1, 0, 3], :, [0, 1, 2, 1, 3, 3], :].ravel(),
         band[[0, 1], :, [0, 1], :].ravel(),
     ])
-    return tuple(forms.tolist()), [_ladder_means(v) for v in (psi, up, down)]
+    return tuple(forms.tolist()), tuple([_ladder_means(v) for v in (psi, up, down)])
 
 
 class _Rung(NamedTuple):
@@ -492,8 +482,8 @@ class _Rung(NamedTuple):
     tail: float        # its mass past the cutoff
     up: np.ndarray     # D(+strength/2) psi, read-only
     down: np.ndarray   # D(-strength/2) psi, read-only
-    forms: tuple       # _forms' eight 2x2 blocks
-    means: tuple | None  # _quad_moments of psi, up and down in the pointer's sigma (_sigma_means)
+    forms: tuple       # _forms' eight 2x2 blocks, sigma-free
+    ladder: tuple      # (<a>, <a^2>, <n>) of psi, up and down, sigma-free
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,8 +493,10 @@ class BranchBundle:
     Every oracle observable of the point is a read of it: a value of the
     point's one pass (_rung) over its rung's forms, the 2x2 contractions with
     the coefficients of the kept combination B = S+ + A S- and its twin
-    C = A S+ + S-, or of its rung's means.  The kept reads are None only where
-    the selection has no weak value (phi = pi), and so is `kept`.
+    C = A S+ + S-, or of its rung's ladder means.  A moment read applies the
+    pointer's sigma to ladder means (_quad_moments) when it is read.  The kept
+    reads are None only where the selection has no weak value (phi = pi), and
+    so is `kept`.
     """
 
     sel: SelectionParams
@@ -514,7 +506,7 @@ class BranchBundle:
     tail_mass: float               # pointer tail plus the kept state's guard-band mass
     norm_sq: float | None          # N = <B|B>
     _rung: _Rung
-    _reads: tuple | None           # the kept state's _quad_moments, <B|C> / N, and F (None past the guard band)
+    _reads: tuple | None           # the kept state's ladder means, <B|C> / N, and F (None past the guard band)
 
     psi = property(lambda self: self._rung.psi, doc="The pointer state.")
     up = property(lambda self: self._rung.up, doc="D(+strength/2) psi.")
@@ -533,26 +525,19 @@ class BranchBundle:
             success_probability=postselection_probability(self.sel) * norm_sq / 4.0,
         )
 
-    def _means(self) -> tuple:
-        """The rung's means: every moment read starts here, so each raises where _quad_moments could not make them."""
-        means = self._rung.means
-        if means is None:
-            raise ZeroDivisionError("float division by zero")  # what _quad_moments raised at this sigma
-        return means
-
     @_once
     def base(self) -> PointerMoments:
-        return _pointer_moments(*self._means()[:5])
+        return _pointer_moments(*_quad_moments(*self._rung.ladder[0], self.pointer.sigma))
 
     @_once
     def kept_moments(self) -> PointerMoments:
         """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
-        self._means()
-        return _pointer_moments(*self._reads[0])
+        return _pointer_moments(*_quad_moments(*self._reads[0], self.pointer.sigma))
 
     def kept_shift(self) -> tuple[float, float]:
         """Kept minus initial pointer means, (position, momentum)."""
-        base, kept = self._means(), self._reads[0]
+        sigma = self.pointer.sigma
+        base, kept = _quad_moments(*self._rung.ladder[0], sigma), _quad_moments(*self._reads[0], sigma)
         return kept[0] - base[0], kept[1] - base[1]
 
     def transition(self) -> complex:
@@ -572,24 +557,29 @@ class BranchBundle:
         return fisher
 
     @_once
-    def _mix(self) -> tuple:
-        """_quad_moments of the keep-everything state: those of up and down, weighted by the sigma_x populations.
+    def _weights(self) -> tuple[float, float]:
+        """The sigma_x populations of up and down, which weight the keep-everything state.
 
         The system branches are orthogonal, so the pointer branches do not interfere.
         """
-        sel, means = self.sel, self._means()
+        sel = self.sel
         phase = cmath.exp(1j * sel.delta) * math.sin(sel.phi / 2.0)
-        w_up = abs(math.cos(sel.phi / 2.0) + phase) ** 2 / 2.0
-        w_dn = abs(math.cos(sel.phi / 2.0) - phase) ** 2 / 2.0
-        return tuple([w_up * u + w_dn * d for u, d in zip(means[5:10], means[10:15])])
+        return abs(math.cos(sel.phi / 2.0) + phase) ** 2 / 2.0, abs(math.cos(sel.phi / 2.0) - phase) ** 2 / 2.0
 
     @_once
     def unconditioned(self) -> PointerMoments:
-        """Keep-everything statistics, the sigma_x-population mixture of the branches."""
-        return _pointer_moments(*self._mix)
+        """Keep-everything statistics: the _quad_moments of up and down, mixed by their weights."""
+        (w_up, w_dn), sigma = self._weights, self.pointer.sigma
+        up, down = (_quad_moments(*means, sigma) for means in self._rung.ladder[1:])
+        return _pointer_moments(*[w_up * u + w_dn * d for u, d in zip(up, down)])
 
     def unconditioned_shift(self) -> float:
-        return self._mix[0] - self._rung.means[0]
+        """The mixture's position mean minus psi's, each 2 sigma Re<a> as in _quad_moments.
+
+        It reads no momentum moment, so it answers where 4 sigma^2 underflows.
+        """
+        (w_up, w_dn), sigma, (psi, up, down) = self._weights, self.pointer.sigma, self._rung.ladder
+        return w_up * (2.0 * sigma * up[0].real) + w_dn * (2.0 * sigma * down[0].real) - 2.0 * sigma * psi[0].real
 
 
 _MISS = object()
@@ -677,7 +667,7 @@ def _fill(rungs) -> dict:
                 up.flags.writeable = down.flags.writeable = False
                 psi, tail = pointers[key[0], dim]
                 forms, ladder = _forms(psi, up, down)
-                found[key] = _Rung(psi, tail, up, down, forms, _sigma_means(ladder, key[0].sigma))
+                found[key] = _Rung(psi, tail, up, down, forms, ladder)
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -749,11 +739,10 @@ def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
     out_band = (1.0 * (e00 * 1.0 + e01 * a) + ac * (e10 * 1.0 + e11 * a)).real / norm_sq
     if out_band > TAIL_TOL:
         return None
-    kept = None if rung.means is None else _quad_moments(
-        (1.0 * (l00 * 1.0 + l01 * a) + ac * (l10 * 1.0 + l11 * a)) / norm_sq,
-        (1.0 * (q00 * 1.0 + q01 * a) + ac * (q10 * 1.0 + q11 * a)) / norm_sq,
-        (1.0 * (u00 * 1.0 + u01 * a) + ac * (u10 * 1.0 + u11 * a)).real / norm_sq,
-        pointer.sigma,
+    kept = (
+        (1.0 * (l00 * 1.0 + l01 * a) + ac * (l10 * 1.0 + l11 * a)) / norm_sq,  # <a>
+        (1.0 * (q00 * 1.0 + q01 * a) + ac * (q10 * 1.0 + q11 * a)) / norm_sq,  # <a^2>
+        (1.0 * (u00 * 1.0 + u01 * a) + ac * (u10 * 1.0 + u11 * a)).real / norm_sq,  # <n>
     )
     transition = (1.0 * (n00 * a + n01 * 1.0) + ac * (n10 * a + n11 * 1.0)) / norm_sq  # <B|C> / N
     fisher = None
@@ -843,11 +832,14 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     return _kept_combination(weak_value(bundle.sel), up[:dim], down[:dim])
 
 
-def commutator_residual(state: FockVector | np.ndarray, pointer: PointerParams) -> float:
-    """|<[X, P]> - i| for a normalized state; small only when well truncated."""
+def commutator_residual(state: FockVector | np.ndarray) -> float:
+    """|<[X, P]> - i| for a normalized state; small only when well truncated.
+
+    The pointer's sigma cancels from <[X, P]>, so X and P are taken at sigma = 1.
+    """
     v = state.amplitudes if isinstance(state, FockVector) else np.asarray(state)
     _, av, _, adv = _words(v)
-    x_v = pointer.sigma * (av + adv)
-    p_v = (0.5j / pointer.sigma) * (adv - av)
+    x_v = av + adv
+    p_v = 0.5j * (adv - av)
     # <XP> - <PX> = 2i Im <Xv|Pv> for Hermitian X, P
     return abs(2.0 * complex(np.vdot(x_v, p_v)).imag - 1.0)

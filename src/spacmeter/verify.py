@@ -178,7 +178,7 @@ def _truncation_checks() -> list[CheckResult]:
     op = fock.displacement_operator(coupling.strength / 2.0, bundle.n_max)
     kept = bundle.kept.state.amplitudes
     norm_err = max(abs(float(np.vdot(v, v).real) - 1.0) for v in (bundle.psi, kept))
-    resid = max(fock.commutator_residual(v, pointer) for v in (bundle.psi, kept))
+    resid = max(fock.commutator_residual(v) for v in (bundle.psi, kept))
     return _worst_of([(_label(sel, pointer, coupling), {
         "cutoff doubling leaves shift fixed": _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx))),
         "cutoff doubling leaves D(+-g/2) psi fixed": _ratio(moved, math.sqrt(fock.TAIL_TOL)),

@@ -410,6 +410,26 @@ class TestForms:
                 seen += w > 0.0
         assert seen > len(self.POINTS)
 
+    @pytest.mark.parametrize("k", [-3, 1, 4])
+    def test_sigma_is_an_output_unit(self, k):
+        # a rung is sigma-free, and sigma = 2^k scales each moment read of
+        # the sigma = 1 bundle by a power of two, so exactly: position means
+        # by 2^k, momentum means by 2^-k, their variances by 4^k and 4^-k
+        coupling = Coupling(strength=0.9)
+        unit = fock.branch_bundle(P1_SEL, P1_PTR, coupling)
+        scaled = fock.branch_bundle(P1_SEL, PointerParams(r=P1_PTR.r, theta=P1_PTR.theta, sigma=2.0 ** k), coupling)
+        assert P1_PTR.sigma == 1.0 and scaled._rung is not unit._rung
+        assert scaled._rung.forms == unit._rung.forms
+        assert scaled._rung.ladder == unit._rung.ladder
+        reads = [(b.n_max, b.norm_sq, b.tail_mass, b.transition(), b.fisher()) for b in (scaled, unit)]
+        assert reads[0] == reads[1]
+        units = (2.0 ** k, 2.0 ** -k, 4.0 ** k, 4.0 ** -k, 1.0)
+        for name in ("base", "kept_moments", "unconditioned"):
+            got, want = vars(getattr(scaled, name)).values(), vars(getattr(unit, name)).values()
+            assert list(got) == [u * w for u, w in zip(units, want)]
+        assert scaled.kept_shift() == tuple(u * w for u, w in zip(units, unit.kept_shift()))
+        assert scaled.unconditioned_shift() == 2.0 ** k * unit.unconditioned_shift()
+
 
 class TestPointerVector:
     def test_vacuum_seed_is_first_excited_level(self):
@@ -585,7 +605,7 @@ class TestAssembly:
 
     def test_commutator_residual_small(self):
         out = fock.assemble_final_state(P1_SEL, P1_PTR, Coupling(strength=0.9))
-        assert fock.commutator_residual(out.state, P1_PTR) <= 1e-8
+        assert fock.commutator_residual(out.state) <= 1e-8
 
 
 class TestTransitionMoment:

@@ -359,10 +359,10 @@ def test_bundle_vectors_are_read_only():
 
 def test_rung_cache_memory_is_bounded(monkeypatch):
     # the cache is bounded in bytes: each entry is at most three 1-D vectors
-    # at a cutoff no larger than HARD_DIM_CAP, their forms and means as
-    # Python numbers (charged _FORMS_BYTES, what CPython holds for them) and
-    # a fixed overhead, its accounted bytes never pass the limit, and
-    # clearing it frees no more
+    # at a cutoff no larger than HARD_DIM_CAP, their forms and ladder means as
+    # Python numbers in tuples (charged _FORMS_BYTES, what CPython holds for
+    # them) and a fixed overhead, its accounted bytes never pass the limit,
+    # and clearing it frees no more
     assert fock._RUNGS.limit == fock.RUNG_CACHE_BYTES
     limit = _small_cache(monkeypatch, 8, 160)
     tracemalloc.start()
@@ -374,14 +374,17 @@ def test_rung_cache_memory_is_bounded(monkeypatch):
             vectors = [x for x in entry if isinstance(x, np.ndarray)]
             assert len(vectors) == 3
             assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors)
-            numbers = entry.forms + entry.means
-            assert [type(x) for x in numbers] == [complex] * 32 + [float] * 15
-            held = sys.getsizeof(entry.forms) + sys.getsizeof(entry.means) + sum(map(sys.getsizeof, numbers))
+            assert [type(x) for x in entry.forms] == [complex] * 32
+            assert len(entry.ladder) == 3
+            assert all([type(x) for x in means] == [complex, complex, float] for means in entry.ladder)
+            tuples = (entry.forms, entry.ladder, *entry.ladder)
+            numbers = entry.forms + sum(entry.ladder, ())
+            held = sum(map(sys.getsizeof, tuples)) + sum(map(sys.getsizeof, numbers))
             assert held <= fock._FORMS_BYTES
             assert fock._entry_bytes(dim) == fock._ENTRY_OVERHEAD + fock._FORMS_BYTES + sum(v.nbytes for v in vectors)
             assert dim <= fock.HARD_DIM_CAP
             assert fock._RUNGS.used <= limit
-        del entry, vectors, numbers
+        del entry, vectors, tuples, numbers
         held = tracemalloc.get_traced_memory()[0]
         assert len(fock._RUNGS) < 12
         fock._RUNGS.clear()
