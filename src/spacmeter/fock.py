@@ -26,11 +26,13 @@ Chebyshev series (`_series`) gives both signs from the same ladder actions,
 on a basis padded until a Duhamel bound (`_pad`) puts the truncated
 generator's error below float eps: its recurrence fills bounded Krylov
 chunks of terms, and each rung takes both signs from one small product per
-chunk.  A rung's selection-independent part, its forms included, is cached
-per (pointer, strength, cutoff) and charged _entry_bytes(cutoff); `warmed`
-yields a grid's points grouped by rung key, a slab at a time, after caching
-each slab's first rungs with one series per block of one cutoff and padding,
-and a cold rung (a block of one) is bit for bit a warmed one.
+chunk.  A rung's selection-independent part, its tail, forms and ladder
+means, is cached per (pointer, strength, cutoff), at most RUNG_CACHE_ENTRIES
+of them; `warmed` yields a grid's points grouped by rung key, a slab at a
+time, after caching each slab's first rungs with one series per block of one
+cutoff and padding, and a cold rung (a block of one) is bit for bit a warmed
+one.  No rung keeps a vector: a bundle rebuilds psi, up and down as a block
+of one computes them (`_branch_vectors`) when one is read.
 `displacement_operator` applies the series to the identity's columns.
 """
 
@@ -65,11 +67,12 @@ TAIL_TOL = 1e-14
 GUARD_BAND = 8
 HARD_DIM_CAP = 4096
 
-# The rung cache (_branches) holds at most this many bytes, each entry
-# charged _entry_bytes of its cutoff, rejected rungs (cached as None)
-# included.  warmed fills at most half of it per slab.
-RUNG_CACHE_BYTES = 16 << 20
-_ENTRY_OVERHEAD = 1024
+# The rung cache (_branches) holds at most this many rungs, rejected ones
+# (cached as None) included; warmed fills at most half of it per slab.  An
+# entry holds only Python numbers, so it costs the same at every cutoff:
+# 2,082 bytes by tracemalloc on CPython 3.11, key and cache slot included,
+# so 8.1 MiB when full.
+RUNG_CACHE_ENTRIES = 4096
 
 # A rung's forms (_forms) are eight 2x2 blocks of Python complex numbers, four
 # per block in row order.  With S = (S+, S-), block [i, j] is <F S_i | F' S_j>
@@ -77,10 +80,8 @@ _ENTRY_OVERHEAD = 1024
 # (a, a), (1, G) and (G, G) of the Gram matrix, then (1, 1) and (G, G) on the
 # last GUARD_BAND levels.  Its ladder means are (<a>, <a^2>, <n>) of psi, up
 # and down, a tuple of three tuples of two complex numbers and a float; no
-# sigma enters either.  Both are charged as CPython objects: a tuple of 40
-# bytes and 8 per item, 32 bytes per complex and 24 per float.
+# sigma enters either.
 _NORM, _LOWER, _LOWER2, _NUMBER, _SLOPE, _SPEED, _EDGE, _EDGE_SPEED = range(8)
-_FORMS_BYTES = (40 + 32 * (8 + 32)) + (40 + 3 * 8) + 3 * (40 + 3 * 8 + 2 * 32 + 24)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -476,13 +477,10 @@ def _forms(psi: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[tuple, tu
 
 
 class _Rung(NamedTuple):
-    """A cached rung: the selection-independent half of a point at one cutoff."""
+    """A cached rung: the selection-independent half of a point at one cutoff, as Python numbers."""
 
-    psi: np.ndarray    # pointer state, read-only
-    tail: float        # its mass past the cutoff
-    up: np.ndarray     # D(+strength/2) psi, read-only
-    down: np.ndarray   # D(-strength/2) psi, read-only
-    forms: tuple       # _forms' eight 2x2 blocks, sigma-free
+    tail: float        # the pointer state's mass past the cutoff
+    forms: tuple       # _forms' eight 2x2 blocks of complex numbers, sigma-free
     ladder: tuple      # (<a>, <a^2>, <n>) of psi, up and down, sigma-free
 
 
@@ -496,7 +494,8 @@ class BranchBundle:
     C = A S+ + S-, or of its rung's ladder means.  A moment read applies the
     pointer's sigma to ladder means (_quad_moments) when it is read.  The kept
     reads are None only where the selection has no weak value (phi = pi), and
-    so is `kept`.
+    so is `kept`.  The rung holds no vector: psi, up and down are rebuilt on
+    their first read, with the bits the rung's forms were made from.
     """
 
     sel: SelectionParams
@@ -508,9 +507,13 @@ class BranchBundle:
     _rung: _Rung
     _reads: tuple | None           # the kept state's ladder means, <B|C> / N, and F (None past the guard band)
 
-    psi = property(lambda self: self._rung.psi, doc="The pointer state.")
-    up = property(lambda self: self._rung.up, doc="D(+strength/2) psi.")
-    down = property(lambda self: self._rung.down, doc="D(-strength/2) psi.")
+    @_once
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _branch_vectors(self.pointer, self.coupling.strength, self.n_max)
+
+    psi = property(lambda self: self._vectors[0], doc="The pointer state, read-only.")
+    up = property(lambda self: self._vectors[1], doc="D(+strength/2) psi, read-only.")
+    down = property(lambda self: self._vectors[2], doc="D(-strength/2) psi, read-only.")
 
     @_once
     def kept(self) -> AssembledState | None:
@@ -534,6 +537,7 @@ class BranchBundle:
         """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
         return _pointer_moments(*_quad_moments(*self._reads[0], self.pointer.sigma))
 
+    @_once
     def kept_shift(self) -> tuple[float, float]:
         """Kept minus initial pointer means, (position, momentum)."""
         sigma = self.pointer.sigma
@@ -586,11 +590,10 @@ _MISS = object()
 
 
 class _RungCache:
-    """Least-recently-used rungs keyed on (pointer, strength, cutoff), bounded in bytes."""
+    """Least-recently-used rungs keyed on (pointer, strength, cutoff), at most `limit` of them."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
-        self.used = 0
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -607,22 +610,14 @@ class _RungCache:
         if key in self._entries:
             return
         self._entries[key] = entry
-        self.used += _entry_bytes(key[2])
-        while self.used > self.limit:
-            old, _ = self._entries.popitem(last=False)
-            self.used -= _entry_bytes(old[2])
+        if len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()
-        self.used = 0
 
 
-def _entry_bytes(dim: int) -> int:
-    """What a rung at cutoff dim costs the cache: psi, up and down, the forms and means, and the overhead."""
-    return _ENTRY_OVERHEAD + _FORMS_BYTES + 3 * dim * np.dtype(np.complex128).itemsize
-
-
-_RUNGS = _RungCache(RUNG_CACHE_BYTES)
+_RUNGS = _RungCache(RUNG_CACHE_ENTRIES)
 
 
 def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
@@ -631,6 +626,17 @@ def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
     rows[:, :dim] = psis
     up, down = _series(rows.view(np.float64), 2, rungs)
     return up.view(np.complex128), down.view(np.complex128)
+
+
+def _branch_vectors(pointer: PointerParams, strength: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi, D(+strength/2) psi and D(-strength/2) psi at cutoff dim, read-only, as a block of one computes them."""
+    half = strength / 2.0
+    psi, _ = _spac_amplitudes(pointer, dim)
+    (up,), (down,) = _displace([psi], dim, _pad(abs(half), dim), [(0, abs(half))])
+    up, down = (up[:dim], down[:dim]) if half >= 0.0 else (down[:dim], up[:dim])
+    for v in (psi, up, down):
+        v.flags.writeable = False
+    return psi, up, down
 
 
 def _fill(rungs) -> dict:
@@ -652,7 +658,6 @@ def _fill(rungs) -> dict:
         pointer, strength, dim = key
         if (pointer, dim) not in pointers:
             pointers[pointer, dim] = _spac_amplitudes(pointer, dim)
-            pointers[pointer, dim][0].flags.writeable = False
         found[key] = None
         if pointers[pointer, dim][1] <= TAIL_TOL and not _reaches(strength / 2.0, dim):
             blocks.setdefault((dim, _pad(strength / 2.0, dim)), []).append(key)
@@ -662,12 +667,10 @@ def _fill(rungs) -> dict:
         ups, downs = _displace(psis, dim, pad, [(row[key[0]], key[1] / 2.0) for key in keys])
         for key, up, down in zip(keys, ups, downs):
             past = max(float(np.vdot(v[dim:], v[dim:]).real) for v in (up, down))
-            up, down = up[:dim].copy(), down[:dim].copy()
+            up, down = up[:dim], down[:dim]
             if max(past, _band_mass(up), _band_mass(down)) <= TAIL_TOL:
-                up.flags.writeable = down.flags.writeable = False
                 psi, tail = pointers[key[0], dim]
-                forms, ladder = _forms(psi, up, down)
-                found[key] = _Rung(psi, tail, up, down, forms, ladder)
+                found[key] = _Rung(tail, *_forms(psi, up, down))
     for key in order:
         _RUNGS.put(key, found[key])
     return found
@@ -688,25 +691,19 @@ def warmed(keys):
     """Every index of keys, grouped by key in order of first appearance, each slab's first rungs cached first.
 
     keys yields one (pointer, strength) per point, or None for a point with
-    no valid pointer or strength.  A slab is the longest run of groups whose
-    first rungs fit in half of RUNG_CACHE_BYTES, and at least one group, so
-    the later rungs its points may climb find room without evicting the
-    rest of it; one _fill computes its rungs before its indices are yielded.
+    no valid pointer or strength.  A slab is a run of half as many groups as
+    the cache holds rungs, and at least one group, so the later rungs its
+    points may climb find room without evicting the rest of it; one _fill
+    computes its rungs before its indices are yielded.
     """
     groups: dict = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
     rungs = [None if key is None else (*key, _first_cutoff(*key)) for key in groups]
-    costs = [0 if rung is None else _entry_bytes(rung[2]) for rung in rungs]
-    members, start = list(groups.values()), 0
-    while start < len(rungs):
-        end, room = start + 1, _RUNGS.limit // 2 - costs[start]
-        while end < len(rungs) and costs[end] <= room:
-            room -= costs[end]
-            end += 1
-        _fill([rung for rung in rungs[start:end] if rung is not None])
-        yield from (index for indices in members[start:end] for index in indices)
-        start = end
+    members, size = list(groups.values()), max(1, _RUNGS.limit // 2)
+    for start in range(0, len(rungs), size):
+        _fill([rung for rung in rungs[start : start + size] if rung is not None])
+        yield from (index for indices in members[start : start + size] for index in indices)
 
 
 def _rung(sel, pointer, coupling, weak, dim) -> BranchBundle | None:
@@ -825,11 +822,8 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     Displaces the bundle's pointer state by +-strength/2 and weights the branches with
     its selection's weak value; returns the normalized vector and the raw squared norm.
     """
-    half, dim = strength / 2.0, bundle.n_max
-    (up,), (down,) = _displace([bundle.psi], dim, _pad(abs(half), dim), [(0, abs(half))])
-    if half < 0.0:
-        up, down = down, up
-    return _kept_combination(weak_value(bundle.sel), up[:dim], down[:dim])
+    _, up, down = _branch_vectors(bundle.pointer, strength, bundle.n_max)
+    return _kept_combination(weak_value(bundle.sel), up, down)
 
 
 def commutator_residual(state: FockVector | np.ndarray) -> float:

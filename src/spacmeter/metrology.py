@@ -115,11 +115,11 @@ class Reading:
 
     @property
     def position_shift(self) -> Pair:
-        return _pair(self.closed.position_shift, self.bundle.kept_shift()[0])
+        return _pair(self.closed.position_shift, self.bundle.kept_shift[0])
 
     @property
     def momentum_shift(self) -> Pair:
-        return _pair(self.closed.momentum_shift, self.bundle.kept_shift()[1])
+        return _pair(self.closed.momentum_shift, self.bundle.kept_shift[1])
 
     @property
     def transition(self) -> Pair:

@@ -165,10 +165,10 @@ def _truncation_checks() -> list[CheckResult]:
     pointer = PointerParams(r=2.0, theta=math.pi / 6)
     coupling = Coupling(strength=1.0)
     bundle = fock.branch_bundle(sel, pointer, coupling)
-    dx, _ = bundle.kept_shift()
+    dx, _ = bundle.kept_shift
     doubled_pol = fock.TruncationPolicy(initial_dim=2 * bundle.n_max)
     doubled = fock.branch_bundle(sel, pointer, coupling, doubled_pol)
-    dx2, _ = doubled.kept_shift()
+    dx2, _ = doubled.kept_shift
     # every gate lets at most TAIL_TOL of mass past the cutoff, so no
     # amplitude below it may move by more than sqrt(TAIL_TOL) when it doubles
     moved = max(

@@ -166,29 +166,43 @@ class TestTables:
         assert np.max(np.abs(ups[index, :dim] - dense @ psi)) <= 1e-14
         assert np.max(np.abs(downs[index, :dim] - dense.conj().T @ psi)) <= 1e-14
 
-    def test_warmed_slab_equals_cold_single_calls(self):
+    def test_warmed_slab_equals_cold_single_calls(self, monkeypatch):
         # a slab mixes cutoffs, strengths sharing a series, and pointers
         # sharing a strength; every entry, its forms and every selection's
-        # reads of them must be what a cold call computes, bit for bit
+        # reads of them must be what a cold call computes, bit for bit, and a
+        # bundle rebuilds the very vectors the slab made its forms from
         keys = [
             (PointerParams(r=r, theta=0.3), strength)
             for r in (0.0, 2.0, 5.0)
             for strength in (0.0, 0.3, 1.7)
         ]
+        handed, forms = {}, fock._forms
+
+        def recorded(*vectors):  # the vectors the slab hands _forms, by the forms they give
+            made = forms(*vectors)
+            handed[id(made[0])] = vectors
+            return made
+
+        monkeypatch.setattr(fock, "_forms", recorded)
         order = fock.warmed(keys)
         assert next(order) == 0 and len(fock._RUNGS) == len(keys)  # one slab
         assert list(order) == list(range(1, len(keys)))
+        monkeypatch.setattr(fock, "_forms", forms)
         rungs = [(p, s, fock.TruncationPolicy().starting_dim(p, s)) for p, s in keys]
         cases = [(rung, sel) for rung in rungs for sel in (P1_SEL, SelectionParams(phi=0.95 * math.pi, delta=1.0))]
         warmed = [fock._RUNGS.get(rung) for rung in rungs]
+        assert len(handed) == len(rungs)
         warmed_reads = [self._reads(*case) for case in cases]
+        for (pointer, strength, dim), hot in zip(rungs, warmed):
+            bundle = fock._rung(P1_SEL, pointer, Coupling(strength=strength), weak_value(P1_SEL), dim)
+            for rebuilt, made in zip((bundle.psi, bundle.up, bundle.down), handed[id(hot.forms)]):
+                assert np.array_equal(rebuilt, made)
         fock._RUNGS.clear()
         for rung, hot in zip(rungs, warmed):
             cold = fock._branches(*rung)
             fock._RUNGS.clear()
-            assert hot[1] == cold[1]
-            for a, b in zip(hot[:1] + hot[2:], cold[:1] + cold[2:]):  # psi, up, down, forms
-                assert np.array_equal(a, b)
+            for name in fock._Rung._fields:
+                assert getattr(hot, name) == getattr(cold, name)
         for case, hot_reads in zip(cases, warmed_reads):
             assert self._reads(*case) == hot_reads
             fock._RUNGS.clear()
@@ -199,7 +213,7 @@ class TestTables:
         pointer, strength, dim = rung
         bundle = fock._rung(sel, pointer, Coupling(strength=strength), weak_value(sel), dim)
         return (
-            bundle.norm_sq, bundle.tail_mass, bundle.kept_moments, bundle.kept_shift(), bundle.transition(),
+            bundle.norm_sq, bundle.tail_mass, bundle.kept_moments, bundle.kept_shift, bundle.transition(),
             bundle.fisher(), bundle.base, bundle.unconditioned, bundle.kept.success_probability,
         )
 
@@ -427,7 +441,7 @@ class TestForms:
         for name in ("base", "kept_moments", "unconditioned"):
             got, want = vars(getattr(scaled, name)).values(), vars(getattr(unit, name)).values()
             assert list(got) == [u * w for u, w in zip(units, want)]
-        assert scaled.kept_shift() == tuple(u * w for u, w in zip(units, unit.kept_shift()))
+        assert scaled.kept_shift == tuple(u * w for u, w in zip(units, unit.kept_shift))
         assert scaled.unconditioned_shift() == 2.0 ** k * unit.unconditioned_shift()
 
 

@@ -4,13 +4,12 @@ one cached rung per (pointer, strength, cutoff), whatever selection reads it,
 one Gram block of forms per rung, read by every selection by contraction,
 and one displacement series per cutoff and padded size in a warmed slab."""
 
+import gc
 import math
 import pickle
-import sys
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from spacmeter import analytic, fock, metrology, sweep, verify
@@ -220,24 +219,23 @@ def test_verify_grid_builds_forms_once_per_rung(monkeypatch):
     assert combined == []
 
 
-def _small_cache(monkeypatch, entries: int, dim: int):
-    """A rung cache that holds about `entries` rungs at cutoff `dim`."""
-    limit = entries * fock._entry_bytes(dim)
-    monkeypatch.setattr(fock, "_RUNGS", fock._RungCache(limit))
-    return limit
+def _small_cache(monkeypatch, entries: int):
+    """A rung cache that holds `entries` rungs."""
+    monkeypatch.setattr(fock, "_RUNGS", fock._RungCache(entries))
+    return entries
 
 
 def test_warm_fills_at_most_half_the_cache(monkeypatch):
-    # warmed sizes its slab by what the cache counts for an entry, forms
-    # included, so the first slab takes exactly half of a cache of 20 entries
-    limit = _small_cache(monkeypatch, 20, 64)
+    # warmed sizes its slab by the cache's count of entries, so the first
+    # slab takes exactly half of a cache of 20 entries
+    limit = _small_cache(monkeypatch, 20)
     keys = [(PointerParams(r=0.05 * k), 0.3) for k in range(30)]
     assert all(fock._first_cutoff(pointer, strength) == 64 for pointer, strength in keys)
     order = fock.warmed(keys)
     assert next(order) == 0
     count = len(fock._RUNGS)
     assert all(fock._RUNGS.get((pointer, strength, 64)) not in (None, fock._MISS) for pointer, strength in keys[:count])
-    assert count == 10 and fock._RUNGS.used == limit // 2
+    assert count == 10 and len(fock._RUNGS) == limit // 2
     assert list(order) == list(range(1, len(keys)))
 
 
@@ -246,7 +244,7 @@ def test_warmed_yields_each_group_after_its_slab(monkeypatch):
     # families and invalid points: every index once, each key's indices
     # together and ascending, groups in order of first appearance, one _fill
     # per slab, and each rung cached when its first index is yielded
-    _small_cache(monkeypatch, 3, 64)
+    _small_cache(monkeypatch, 3)
     keys = [None if k % 7 == 3 else (PointerParams(r=0.5 * (k % 3)), 0.3 * (k % 2)) for k in range(24)]
     slabs, fill = [], fock._fill
     monkeypatch.setattr(fock, "_fill", lambda rungs: slabs.append((rungs, [])) or fill(rungs))
@@ -266,7 +264,7 @@ def test_verify_grid_computes_no_rung_outside_a_slab(monkeypatch):
     # a cache that holds a few of the fast grid's 8 first rungs: each slab
     # is warmed before its points run, so no point computes its rung cold
     # (a one-key _fill)
-    _small_cache(monkeypatch, 6, 96)
+    _small_cache(monkeypatch, 6)
     fills, fill = [], fock._fill
     monkeypatch.setattr(fock, "_fill", lambda rungs: fills.append(list(rungs)) or fill(rungs))
     checks = verify._cross_engine_checks(verify.fast_grid())
@@ -281,7 +279,7 @@ def test_phi_family_strength_sweep_displaces_once_per_strength(monkeypatch, name
     # family-major order would evict every rung before the next family reads it
     spec = replace(sweep.preset(name), count=10)
     assert spec.family == "phi" and len(spec.family_values) == 4
-    _small_cache(monkeypatch, 6, 160)
+    _small_cache(monkeypatch, 6)
     passes = _count_calls(monkeypatch, "_displace")
     _, rows = sweep.run_sweep(spec)
     assert all(row["flag"] == "" for row in rows)
@@ -348,7 +346,7 @@ def test_r_axis_sweep_runs_one_series_per_block(monkeypatch, name):
 
 
 def test_bundle_vectors_are_read_only():
-    # they are shared through the rung cache with every later query
+    # a bundle rebuilds them once and hands the same arrays to every later read
     bundle = fock.branch_bundle(SEL, PTR, CPL)
     for v in (bundle.psi, bundle.up, bundle.down):
         with pytest.raises(ValueError):
@@ -357,39 +355,44 @@ def test_bundle_vectors_are_read_only():
             v *= 2.0
 
 
+def _numbers(field) -> bool:
+    """Whether a rung field is a float or a tuple of Python numbers, nested tuples included."""
+    if isinstance(field, tuple):
+        return all(_numbers(x) for x in field)
+    return type(field) in (float, complex)
+
+
 def test_rung_cache_memory_is_bounded(monkeypatch):
-    # the cache is bounded in bytes: each entry is at most three 1-D vectors
-    # at a cutoff no larger than HARD_DIM_CAP, their forms and ladder means as
-    # Python numbers in tuples (charged _FORMS_BYTES, what CPython holds for
-    # them) and a fixed overhead, its accounted bytes never pass the limit,
-    # and clearing it frees no more
-    assert fock._RUNGS.limit == fock.RUNG_CACHE_BYTES
-    limit = _small_cache(monkeypatch, 8, 160)
-    tracemalloc.start()
-    try:
-        for k in range(12):
-            pointer, strength = PointerParams(r=0.5 * k), 0.25 * k
-            dim = fock.branch_bundle(SEL, pointer, Coupling(strength=strength)).n_max
-            entry = fock._branches(pointer, strength, dim)
-            vectors = [x for x in entry if isinstance(x, np.ndarray)]
-            assert len(vectors) == 3
-            assert all(v.ndim == 1 and v.shape == (dim,) and v.dtype == np.complex128 for v in vectors)
-            assert [type(x) for x in entry.forms] == [complex] * 32
-            assert len(entry.ladder) == 3
-            assert all([type(x) for x in means] == [complex, complex, float] for means in entry.ladder)
-            tuples = (entry.forms, entry.ladder, *entry.ladder)
-            numbers = entry.forms + sum(entry.ladder, ())
-            held = sum(map(sys.getsizeof, tuples)) + sum(map(sys.getsizeof, numbers))
-            assert held <= fock._FORMS_BYTES
-            assert fock._entry_bytes(dim) == fock._ENTRY_OVERHEAD + fock._FORMS_BYTES + sum(v.nbytes for v in vectors)
-            assert dim <= fock.HARD_DIM_CAP
-            assert fock._RUNGS.used <= limit
-        del entry, vectors, tuples, numbers
-        held = tracemalloc.get_traced_memory()[0]
-        assert len(fock._RUNGS) < 12
-        fock._RUNGS.clear()
-        freed = held - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert 0 < freed <= limit
-    assert fock._RUNGS.used == 0 and len(fock._RUNGS) == 0
+    # the cache is bounded by a count: an entry holds its tail, forms and
+    # ladder means as Python numbers and no vector, so it costs the same at
+    # every cutoff, and the count bounds the cache's bytes by the 16 MiB
+    # byte bound it replaced.  A full collection empties CPython's free
+    # lists before and after the measurement, so a freed tuple or float is
+    # counted, and 32 entries keep what allocator reuse is left (about a
+    # hundred bytes) to a few bytes an entry
+    assert fock._RUNGS.limit == fock.RUNG_CACHE_ENTRIES
+    limit = _small_cache(monkeypatch, 32)
+    keys = [(PointerParams(r=0.04 * k), 0.04 * k) for k in range(40)]
+    per_entry = {}
+    for dim in (64, 1024):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for pointer, strength in keys:
+                entry = fock._branches(pointer, strength, dim)
+                assert isinstance(entry, fock._Rung)
+                assert all(_numbers(field) for field in entry)  # no np.ndarray anywhere
+                assert len(fock._RUNGS) <= limit
+            del entry
+            assert len(fock._RUNGS) == limit
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            fock._RUNGS.clear()
+            gc.collect()
+            per_entry[dim] = (held - tracemalloc.get_traced_memory()[0]) / limit
+        finally:
+            tracemalloc.stop()
+        assert len(fock._RUNGS) == 0
+    assert per_entry[64] > 0
+    assert abs(per_entry[1024] - per_entry[64]) <= 64
+    assert fock.RUNG_CACHE_ENTRIES * max(per_entry.values()) <= 16 << 20

@@ -102,7 +102,7 @@ def test_warmed_sweep_cells_equal_cold_single_calls(name, outputs):
             assert (row["qfi[1]"], row["crb[1]"]) == (repr(report.weighted_fisher), repr(report.cramer_rao))
         else:
             closed = analytic.pointer_shifts(*_cold(*point))
-            dx, dp = fock.branch_bundle(*_cold(*point)).kept_shift()
+            dx, dp = fock.branch_bundle(*_cold(*point)).kept_shift
             t_closed = analytic.transition_value(*_cold(*point))
             t_oracle = fock.transition_moment(*_cold(*point))
             cells = ("dx_closed[length]", "dx_oracle[length]", "dp_closed[1/length]", "dp_oracle[1/length]",
