@@ -99,29 +99,40 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
-_DEFAULT_SPEC = sweep_mod.SweepSpec(
-    axis="strength", start=0.05, stop=2.0, count=201, outputs=("dx", "dp")
-)
-
-_FLOAT_KEYS = ("start", "stop", "phi", "delta", "r", "theta", "sigma", "strength")
-_INT_KEYS = ("count", "trials")
+_DEFAULT_SPEC = sweep_mod.SweepSpec(axis="strength", start=0.05, stop=2.0, count=201)
 
 
-def _coerce(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        return parse_number(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key == "axis":
-        return raw.strip()
-    if key == "family":
-        text = raw.strip()
-        return None if text.lower() in ("", "none") else text
-    if key == "family_values":
-        return tuple(parse_number(item) for item in raw.split(",") if item.strip())
-    if key == "outputs":
-        return tuple(item.strip() for item in raw.split(",") if item.strip())
-    raise ValueError(f"unknown sweep config key {key!r}")
+def parse_family(text: str) -> str | None:
+    return None if text.lower() in ("", "none") else text
+
+
+def parse_numbers(text: str) -> tuple[float, ...]:
+    return tuple(parse_number(item) for item in text.split(",") if item.strip())
+
+
+def parse_names(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+# every sweep setting, in flag order, with its parser: the sweep flags
+# (--family-values for family_values) and the INI [sweep] keys both read it;
+# a list is comma-separated, and a family of '' or 'none' is no family
+_SWEEP_KEYS = {
+    "axis": str, "start": parse_number, "stop": parse_number, "count": int,
+    "family": parse_family, "family_values": parse_numbers, "outputs": parse_names,
+    "phi": parse_number, "delta": parse_number, "r": parse_number, "theta": parse_number,
+    "sigma": parse_number, "strength": parse_number, "trials": int,
+}
+_SWEEP_HELP = {"family": "second swept parameter, or 'none'",
+               "family_values": "comma-separated values for the family parameter",
+               "outputs": "comma-separated subset of " + ",".join(sweep_mod.OUTPUTS)}
+
+
+def _changed(spec: sweep_mod.SweepSpec, changes: dict) -> sweep_mod.SweepSpec:
+    """spec with one layer's settings; clearing the family clears its values unless the layer sets them."""
+    if changes.get("family", "") is None:
+        changes = {"family_values": (), **changes}
+    return replace(spec, **changes)
 
 
 def _apply_config(spec: sweep_mod.SweepSpec, path: str) -> sweep_mod.SweepSpec:
@@ -132,36 +143,17 @@ def _apply_config(spec: sweep_mod.SweepSpec, path: str) -> sweep_mod.SweepSpec:
         raise ValueError("config file needs a [sweep] section")
     changes = {}
     for key, raw in parser.items("sweep"):
-        changes[key] = _coerce(key, raw)
-    if changes.get("family", "missing") is None:
-        changes["family_values"] = ()
-    return replace(spec, **changes)
-
-
-def _apply_overrides(spec: sweep_mod.SweepSpec, args) -> sweep_mod.SweepSpec:
-    changes = {}
-    for key in ("axis", "start", "stop", "count", "phi", "delta", "r", "theta",
-                "sigma", "strength", "trials"):
-        value = getattr(args, key)
-        if value is not None:
-            changes[key] = value
-    if args.family is not None:
-        family = None if args.family.lower() in ("", "none") else args.family
-        changes["family"] = family
-        if family is None:
-            changes["family_values"] = ()
-    for key in ("family_values", "outputs"):
-        raw = getattr(args, key)
-        if raw is not None:
-            changes[key] = _coerce(key, raw)
-    return replace(spec, **changes) if changes else spec
+        if key not in _SWEEP_KEYS:
+            raise ValueError(f"unknown sweep config key {key!r}")
+        changes[key] = _SWEEP_KEYS[key](raw)
+    return _changed(spec, changes)
 
 
 def _cmd_sweep(args) -> int:
     spec = sweep_mod.preset(args.preset) if args.preset else _DEFAULT_SPEC
     if args.config:
         spec = _apply_config(spec, args.config)
-    spec = _apply_overrides(spec, args)
+    spec = _changed(spec, {key: value for key, value in vars(args).items() if key in _SWEEP_KEYS})
     header, rows = sweep_mod.run_sweep(spec)
     sweep_mod.write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -213,22 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI file with a [sweep] section")
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--svg")
-    p.add_argument("--axis", choices=sweep_mod.AXES)
-    p.add_argument("--start", type=parse_number)
-    p.add_argument("--stop", type=parse_number)
-    p.add_argument("--count", type=int)
-    p.add_argument("--family", help="second swept parameter, or 'none'")
-    p.add_argument("--family-values", dest="family_values",
-                   help="comma-separated values for the family parameter")
-    p.add_argument("--outputs", help="comma-separated subset of "
-                                     + ",".join(sweep_mod.OUTPUTS))
-    p.add_argument("--phi", type=parse_number)
-    p.add_argument("--delta", type=parse_number)
-    p.add_argument("--r", type=parse_number)
-    p.add_argument("--theta", type=parse_number)
-    p.add_argument("--sigma", type=parse_number)
-    p.add_argument("--strength", type=parse_number)
-    p.add_argument("--trials", type=int)
+    for key, parse in _SWEEP_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, default=argparse.SUPPRESS,
+                       choices=sweep_mod.AXES if key == "axis" else None, help=_SWEEP_HELP.get(key))
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the cross-engine and audit suites")

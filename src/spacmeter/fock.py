@@ -529,10 +529,6 @@ class BranchBundle:
         )
 
     @_once
-    def base(self) -> PointerMoments:
-        return _pointer_moments(*_quad_moments(*self._rung.ladder[0], self.pointer.sigma))
-
-    @_once
     def kept_moments(self) -> PointerMoments:
         """From <B|a B>, <B|a^2 B> and <a B|a B>, each over N."""
         return _pointer_moments(*_quad_moments(*self._reads[0], self.pointer.sigma))
@@ -629,11 +625,10 @@ def _displace(psis, dim: int, pad: int, rungs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _branch_vectors(pointer: PointerParams, strength: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi, D(+strength/2) psi and D(-strength/2) psi at cutoff dim, read-only, as a block of one computes them."""
+    """psi, D(+strength/2) psi and D(-strength/2) psi at cutoff dim (strength >= 0), read-only, as a block of one computes them."""
     half = strength / 2.0
     psi, _ = _spac_amplitudes(pointer, dim)
-    (up,), (down,) = _displace([psi], dim, _pad(abs(half), dim), [(0, abs(half))])
-    up, down = (up[:dim], down[:dim]) if half >= 0.0 else (down[:dim], up[:dim])
+    up, down = (rows[0, :dim] for rows in _displace([psi], dim, _pad(half, dim), [(0, half)]))
     for v in (psi, up, down):
         v.flags.writeable = False
     return psi, up, down
@@ -822,7 +817,7 @@ def assemble_at_cutoff(bundle: BranchBundle, strength: float) -> tuple[np.ndarra
     Displaces the bundle's pointer state by +-strength/2 and weights the branches with
     its selection's weak value; returns the normalized vector and the raw squared norm.
     """
-    _, up, down = _branch_vectors(bundle.pointer, strength, bundle.n_max)
+    _, up, down = _branch_vectors(bundle.pointer, Coupling(strength=strength).strength, bundle.n_max)
     return _kept_combination(weak_value(bundle.sel), up, down)
 
 

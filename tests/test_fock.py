@@ -214,7 +214,8 @@ class TestTables:
         bundle = fock._rung(sel, pointer, Coupling(strength=strength), weak_value(sel), dim)
         return (
             bundle.norm_sq, bundle.tail_mass, bundle.kept_moments, bundle.kept_shift, bundle.transition(),
-            bundle.fisher(), bundle.base, bundle.unconditioned, bundle.kept.success_probability,
+            bundle.fisher(), fock.moments(bundle.psi, bundle.pointer), bundle.unconditioned,
+            bundle.kept.success_probability,
         )
 
 
@@ -438,8 +439,8 @@ class TestForms:
         reads = [(b.n_max, b.norm_sq, b.tail_mass, b.transition(), b.fisher()) for b in (scaled, unit)]
         assert reads[0] == reads[1]
         units = (2.0 ** k, 2.0 ** -k, 4.0 ** k, 4.0 ** -k, 1.0)
-        for name in ("base", "kept_moments", "unconditioned"):
-            got, want = vars(getattr(scaled, name)).values(), vars(getattr(unit, name)).values()
+        for read in (lambda b: fock.moments(b.psi, b.pointer), lambda b: b.kept_moments, lambda b: b.unconditioned):
+            got, want = vars(read(scaled)).values(), vars(read(unit)).values()
             assert list(got) == [u * w for u, w in zip(units, want)]
         assert scaled.kept_shift == tuple(u * w for u, w in zip(units, unit.kept_shift))
         assert scaled.unconditioned_shift() == 2.0 ** k * unit.unconditioned_shift()
@@ -691,6 +692,13 @@ class TestFixedCutoff:
         (vec_a, norm_a), (vec_b, norm_b) = (fock.assemble_at_cutoff(b, 0.9) for b in bundles)
         assert norm_b == pytest.approx(norm_a, rel=1e-12)
         assert np.max(np.abs(vec_b[:128] - vec_a)) <= 1e-11
+
+    @pytest.mark.parametrize("strength", [-0.1, math.nan, math.inf])
+    def test_invalid_strength_rejected(self, strength):
+        # the strength is validated as every other entry point validates it
+        bundle = fock.branch_bundle(P1_SEL, P1_PTR, Coupling(strength=0.9))
+        with pytest.raises(ValueError, match="strength must be"):
+            fock.assemble_at_cutoff(bundle, strength)
 
 
 def test_engine_imports_nothing_from_analytic():

@@ -508,3 +508,58 @@ class TestCommandLine:
         assert exc.value.code == 2
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+class TestSweepSettings:
+    # a text for every SweepSpec field that fig1 accepts and that moves it
+    TEXTS = {
+        "axis": "r", "start": "0.5", "stop": "pi/2", "count": "7", "phi": "pi/4",
+        "delta": "pi/5", "r": "3", "theta": "0.25", "sigma": "0.5", "strength": "0.7",
+        "family": "delta", "family_values": "0.1, pi/8", "outputs": "chi, qfi", "trials": "3",
+    }
+
+    @staticmethod
+    def _spec(monkeypatch, tmp_path, argv):
+        seen = []
+
+        def record(spec):
+            seen.append(spec)
+            return spec.header(), []
+
+        monkeypatch.setattr(sweep, "run_sweep", record)
+        assert cli.main(["sweep", *argv, "--out", str(tmp_path / "rows.csv")]) == 0
+        return seen[0]
+
+    @staticmethod
+    def _ini(tmp_path, **keys):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items()))
+        return str(path)
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(sweep.SweepSpec)])
+    def test_flag_and_ini_set_the_same_value(self, monkeypatch, tmp_path, name):
+        text = self.TEXTS[name]
+        by_flag = self._spec(monkeypatch, tmp_path, ["--preset", "fig1", "--" + name.replace("_", "-"), text])
+        by_ini = self._spec(monkeypatch, tmp_path, ["--preset", "fig1", "--config", self._ini(tmp_path, **{name: text})])
+        assert by_flag == by_ini
+        assert getattr(by_flag, name) != getattr(sweep.preset("fig1"), name)
+
+    def test_ini_family_none_clears_the_preset_values(self, monkeypatch, tmp_path):
+        spec = self._spec(monkeypatch, tmp_path, ["--preset", "fig1", "--config", self._ini(tmp_path, family="none")])
+        assert spec.family is None and spec.family_values == ()
+
+    def test_flag_family_none_clears_the_ini_values(self, monkeypatch, tmp_path):
+        ini = self._ini(tmp_path, axis="strength", start="0.1", stop="0.3", count="3", family="phi", family_values="pi/6, pi/3")
+        spec = self._spec(monkeypatch, tmp_path, ["--config", ini, "--family", "none"])
+        assert spec.family is None and spec.family_values == ()
+        assert (spec.axis, spec.count) == ("strength", 3)
+
+    def test_family_none_with_values_in_one_layer_exits_two(self, capsys):
+        assert cli.main(["sweep", "--family", "none", "--family-values", "1,2"]) == 2
+        assert "family_values given without a family parameter" in capsys.readouterr().err
+
+    def test_malformed_family_values_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--family-values", "1,x"])
+        assert exc.value.code == 2
+        assert "invalid parse_numbers value: '1,x'" in capsys.readouterr().err
