@@ -25,14 +25,14 @@ The strength is real, so D(+-|mu|) = exp(+-|mu| G), G = adag - a.  One
 Chebyshev series (`_series`) gives both signs from the same ladder actions,
 on a basis padded until a Duhamel bound (`_pad`) puts the truncated
 generator's error below float eps: its recurrence fills bounded Krylov
-chunks of terms, and each rung takes both signs from one small product per
-chunk.  A rung's selection-independent part, its tail, forms and ladder
-means, is cached per (pointer, strength, cutoff), at most RUNG_CACHE_ENTRIES
-of them; `warmed` yields a grid's points grouped by rung key, a slab at a
-time, after caching each slab's first rungs with one series per block of one
-cutoff and padding, and a cold rung (a block of one) is bit for bit a warmed
-one.  No rung keeps a vector: a bundle rebuilds psi, up and down as a block
-of one computes them (`_branch_vectors`) when one is read.
+chunks of terms on one window per row group, and each rung takes both signs
+from one small product per chunk.  A rung's selection-independent part, its
+tail, forms and ladder means, is cached per (pointer, strength, cutoff), at
+most RUNG_CACHE_ENTRIES of them; `warmed` yields a grid's points grouped by
+rung key, a slab at a time, after caching each slab's first rungs with one
+series per block of one cutoff and padding, and a cold rung (a block of one)
+is bit for bit a warmed one.  No rung keeps a vector: a bundle rebuilds psi,
+up and down as a block of one computes them (`_branch_vectors`) when read.
 `displacement_operator` applies the series to the identity's columns.
 """
 
@@ -253,10 +253,12 @@ def _series(rows: np.ndarray, channels: int, rungs) -> tuple[np.ndarray, np.ndar
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
         exp(+-|mu| G) x = sum_k (+-1)^k c_k w_k,  c_k = _chebyshev_weights(z),
         w_0 = x,  w_1 = G x / rho,  w_{k+1} = (2 / rho) G w_k + w_{k-1},
-    each |w_k| <= |x|.  Per term, only the recurrence runs: step k touches the
-    levels within k of the rows' support and writes w_k into a Krylov chunk
-    (KRYLOV_TERMS slots after two carrying w_{k-2}, w_{k-1} in; _krylov_rows
-    rows, each guarded by a zero level each side).  After each chunk a rung
+    each |w_k| <= |x|.  Per term, only the recurrence runs, four ufunc calls
+    writing w_k into a Krylov chunk (KRYLOV_TERMS slots after two carrying
+    w_{k-2}, w_{k-1} in; _krylov_rows rows, each guarded by a zero level each
+    side) on one window, the rows' support widened by their term count: past
+    the support widened by k, w_k is +0.0 and the ladder steps finite and >= 0,
+    so the window only rewrites zeros with zeros.  After each chunk a rung
     adds both signs, one (2, m) x (m, N channels) product of
     (c_k, (-1)^k c_k) with its row's m terms, whose shape is the rung's own:
     a block gives each rung the bits a block of one does.
@@ -277,19 +279,19 @@ def _series(rows: np.ndarray, channels: int, rungs) -> tuple[np.ndarray, np.ndar
         chunk = np.zeros((len(group), KRYLOV_TERMS + 2, wide))
         chunk[:, 2, channels : length + channels] = group
         slots = list(chunk[0] if len(group) == 1 else chunk.transpose(1, 0, 2))  # one row runs on 1-D views
-        spare = np.empty_like(slots[0])
         held = np.flatnonzero(np.any(group, axis=0)) // channels * channels + channels
         lo, hi = (held[0], held[-1] + channels) if len(held) else (channels, 2 * channels)
+        lo, hi = max(lo - terms * channels, channels), min(hi + terms * channels, length + channels)
+        at, below, above = ([s[..., lo + d : hi + d] for s in slots[: terms + 2]] for d in (0, -channels, channels))
+        rise, fall, spare = raising[lo:hi], lowering[lo:hi], np.empty_like(at[0])
         for start in range(0, terms, KRYLOV_TERMS):
             chunk[:, :2] = chunk[:, KRYLOV_TERMS:]  # w_{k-2}, w_{k-1} carried in: zeros before the first chunk
             for slot in range(3 if start == 0 else 2, min(KRYLOV_TERMS, terms - start) + 2):
-                lo, hi = max(lo - channels, channels), min(hi + channels, length + channels)
-                w, new, shift = slots[slot - 1], slots[slot][..., lo:hi], spare[..., lo:hi]
-                # w_k = w_{k-2} + (2 / rho) G w_{k-1}, one level wider each way
-                np.multiply(raising[lo:hi], w[..., lo - channels : hi - channels], out=new)
-                new += slots[slot - 2][..., lo:hi]
-                np.multiply(lowering[lo:hi], w[..., lo + channels : hi + channels], out=shift)
-                new -= shift
+                new = at[slot]  # w_k = w_{k-2} + (2 / rho) G w_{k-1}
+                np.multiply(rise, below[slot - 1], new)
+                np.add(new, at[slot - 2], new)
+                np.multiply(fall, above[slot - 1], spare)
+                np.subtract(new, spare, new)
                 if start + slot == 3:  # w_1 = G x / rho
                     new *= 0.5
             for r in members:

@@ -8,7 +8,6 @@ than aborting the plot, so flagged sweep rows leave visible gaps.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -18,6 +17,10 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 16
 MARGIN_TOP = 42
 MARGIN_BOTTOM = 50
+
+
+def escape(text: str) -> str:  # xml.sax.saxutils.escape, whose import loads urllib.request, http and email
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _span(values: list[float]) -> tuple[float, float]:

@@ -4,7 +4,9 @@ Deliberately shares no algorithm with the package: displacements come from
 scipy's expm on the generator matrix (dense, or its action on one vector at
 large cutoffs), the probe state from direct coherent
 recursion, statistics from dense ladder arithmetic.  Slow and obvious on
-purpose so a disagreement indicts the package, not the reference.
+purpose so a disagreement indicts the package, not the reference.  The one
+exception is `chebyshev_series`, a plain twin of the package's series loop:
+it pins that loop's bookkeeping bit for bit, and expm checks its values.
 """
 
 import numpy as np
@@ -146,3 +148,37 @@ def fisher(phi, delta, alpha, G, n=320):
     dB = 0.5 * (a.conj().T - a) @ ((1 + A) * up - (1 - A) * dn)
     B = Phi * np.sqrt(nrm2)
     return 4 * (np.vdot(dB, dB).real / nrm2 - abs(np.vdot(B, dB)) ** 2 / nrm2**2)
+
+
+def chebyshev_series(rows, channels, rungs, weights, chunk):
+    """exp(+-|mu| G) x for each rung (row, |mu|) of a block of rows x, as fock's series lays them out.
+
+    The recurrence w_k = (2 / rho) G w_{k-1} + w_{k-2} (w_1 halved) runs on
+    every level of the row, one row and one term at a time, with the same
+    operations per level as the package; the terms go into the per-rung
+    sums `chunk` at a time, each as one (2, m) @ (m, N) product of
+    (c_k, (-1)^k c_k), with c = weights(2 |mu| sqrt(N)).  It keeps no
+    window, no row groups and no guard levels.
+    """
+    levels = rows.shape[1] // channels
+    roots = np.sqrt(np.arange(levels, dtype=float)) / np.sqrt(float(levels))  # (2 / rho) sqrt(n)
+    rise = np.repeat(roots, channels)
+    fall = np.repeat(np.append(roots[1:], 0.0), channels)
+    zeros = np.zeros(channels)
+    out = np.zeros((len(rungs), 2, rows.shape[1]))
+    for r, (row, half) in enumerate(rungs):
+        c = weights(2.0 * half * np.sqrt(float(levels)))
+        coeffs = np.array([c, c * np.where(np.arange(len(c)) % 2, -1.0, 1.0)])
+        before, w = np.zeros(rows.shape[1]), rows[row]
+        terms = [w]
+        for k in range(1, len(c)):
+            below, above = np.concatenate([zeros, w[:-channels]]), np.concatenate([w[channels:], zeros])
+            new = rise * below + before - fall * above
+            if k == 1:
+                new *= 0.5
+            before, w = w, new
+            terms.append(new)
+        stacked = np.array(terms)
+        for start in range(0, len(c), chunk):
+            out[r] += coeffs[:, start : start + chunk] @ stacked[start : start + chunk]
+    return out[:, 0], out[:, 1]

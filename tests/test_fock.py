@@ -350,6 +350,46 @@ class TestSeries:
         assert max(chunks) <= fock.KRYLOV_BYTES
         assert any(count > fock._krylov_rows(length, channels) for count, length, channels in blocks)
 
+    @staticmethod
+    def _reference_block(name, channels):
+        """(rows, rungs) of one block for the comparison with the plain recurrence."""
+        if name in ("columns", "top-columns"):  # 16 identity columns: a narrow support on 1,100 levels
+            return np.eye(16, 1100, 0 if name == "columns" else 1084), [(j, 1.5) for j in range(16)]
+        if name in ("zero-row", "negative-zero-row"):
+            return np.full((1, 200 * channels), 0.0 if name == "zero-row" else -0.0), [(0, 0.8)]
+        dim = 960 if name == "groups" else 64
+        psis = [fock._spac_amplitudes(PointerParams(r=r, theta=0.3), dim)[0] for r in (0.0, 2.0, 3.5, 1.0, 6.0, 0.5, 4.0)]
+        rows = np.zeros((len(psis), dim + fock._pad(1.5, dim)), dtype=np.complex128)
+        rows[:, :dim] = psis
+        rows = rows.view(np.float64) if channels == 2 else rows.real.copy()
+        if name == "complex-rows":
+            return rows[:3], [(2, 1.5), (0, 0.2), (1, 0.7), (2, 0.05), (0, 1.1)]
+        if name == "groups":  # more rows than a Krylov chunk holds
+            assert len(rows) > fock._krylov_rows(rows.shape[1], channels) > 1
+            return rows, [(row, 0.1 + 0.05 * row) for row in range(len(rows))][::-1]
+        # one row whose rungs keep 1, 2, 3, B, B + 1, B + 2 and 2B + 1 terms, B = KRYLOV_TERMS
+        size = math.sqrt(rows.shape[1] // channels)
+        counts = [1, 2, 3] + [fock.KRYLOV_TERMS + d for d in (0, 1, 2, fock.KRYLOV_TERMS + 1)]
+        first = {1: 0.0}
+        for z in np.concatenate([np.geomspace(1e-14, 1.0, 300), np.arange(0.01, 20.0, 0.01)]):
+            first.setdefault(len(fock._chebyshev_weights.__wrapped__(float(z))), float(z) / (2.0 * size))
+        halves = [first[c] for c in counts]
+        assert [len(fock._chebyshev_weights(2.0 * h * size)) for h in halves] == counts
+        return rows[1:2], [(0, h) for h in halves]
+
+    @pytest.mark.parametrize("name, channels", [
+        ("columns", 1), ("top-columns", 1), ("complex-rows", 2), ("zero-row", 1), ("negative-zero-row", 2),
+        ("chunk-edges", 1), ("chunk-edges", 2), ("groups", 1), ("groups", 2),
+    ])
+    def test_series_equals_the_plain_recurrence(self, name, channels):
+        # the reference runs every term on every level of each row, one row at
+        # a time, with the same chunks and products: the window and the row
+        # groups change no bit
+        rows, rungs = self._reference_block(name, channels)
+        got = fock._series(rows, channels, rungs)
+        want = bf.chebyshev_series(rows, channels, rungs, fock._chebyshev_weights, fock.KRYLOV_TERMS)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
     def test_mass_past_the_cutoff_rejects_a_rung(self, monkeypatch):
         # with the guard bands silenced, the mass of D(+-1.5) psi past cutoff
         # 32 (about 1e-7 for r = 2) still rejects the rung; cutoff 96 passes

@@ -3,10 +3,15 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import spacmeter
 from spacmeter import cli, fock, metrology, sweep, svg, verify
 from spacmeter.model import Coupling, PointerParams, SelectionParams
 
@@ -293,6 +298,25 @@ class TestCsvAndPlot:
         hollow = [("void", [0.0], [float("nan")])]
         text = svg.render_curves(hollow, "t", "x", "y")
         assert "no finite data" in text
+
+    def test_labels_are_escaped_as_xml_text(self):
+        # &, < and > become entities, & first; quotes stay as they are
+        text = svg.render_curves([("c", [0.0, 1.0], [0.0, 1.0])], "a & b < c > d \"e\" 'f'", "x", "y")
+        assert ">a &amp; b &lt; c &gt; d \"e\" 'f'</text>" in text
+        ET.fromstring(text)
+
+    def test_import_loads_no_xml_or_network_modules(self):
+        # in a fresh interpreter, importing the package adds no xml, urllib,
+        # http, email or ssl module (site may load urllib.parse, through
+        # pathlib, before the package is imported)
+        code = (
+            "import sys; before = set(sys.modules); import spacmeter; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('xml', 'urllib', 'http', 'email', 'ssl')))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(spacmeter.__file__).parents[1])})
+        assert done.stdout.strip() == "[]"
 
 
 class TestPresets:
