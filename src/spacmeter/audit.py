@@ -49,10 +49,6 @@ class AuditRecord:
         """Transcription error: |transcribed - oracle|, recorded however large."""
         return abs(self.transcribed - self.oracle)
 
-    @property
-    def engine_gap(self) -> float:
-        return abs(self.first_principles - self.oracle)
-
 
 def transcribed_shift_kernel(pointer: PointerParams, strength: float) -> complex:
     """Cross-term kernel exactly as printed.

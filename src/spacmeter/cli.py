@@ -46,21 +46,6 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _add_point_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--phi", type=parse_number, default=math.pi / 6,
-                        help="selection polar angle in [0, pi]")
-    parser.add_argument("--delta", type=parse_number, default=0.0,
-                        help="selection relative phase")
-    parser.add_argument("--r", type=parse_number, default=2.0,
-                        help="pointer coherent amplitude magnitude")
-    parser.add_argument("--theta", type=parse_number, default=0.0,
-                        help="pointer coherent amplitude phase")
-    parser.add_argument("--sigma", type=parse_number, default=1.0,
-                        help="pointer position scale")
-    parser.add_argument("--strength", type=parse_number, default=1.0,
-                        help="dimensionless interaction strength")
-
-
 def _point(args) -> tuple[SelectionParams, PointerParams, Coupling]:
     return (
         SelectionParams(phi=args.phi, delta=args.delta),
@@ -115,8 +100,9 @@ def parse_names(text: str) -> tuple[str, ...]:
 
 
 # every sweep setting, in flag order, with its parser: the sweep flags
-# (--family-values for family_values) and the INI [sweep] keys both read it;
-# a list is comma-separated, and a family of '' or 'none' is no family
+# (--family-values for family_values), the INI [sweep] keys and the point
+# commands' flags read it; a list is comma-separated, and a family of '' or
+# 'none' is no family
 _SWEEP_KEYS = {
     "axis": str, "start": parse_number, "stop": parse_number, "count": int,
     "family": parse_family, "family_values": parse_numbers, "outputs": parse_names,
@@ -126,6 +112,25 @@ _SWEEP_KEYS = {
 _SWEEP_HELP = {"family": "second swept parameter, or 'none'",
                "family_values": "comma-separated values for the family parameter",
                "outputs": "comma-separated subset of " + ",".join(sweep_mod.OUTPUTS)}
+
+
+# the point commands' settings: each one's default and help, and its parser
+# from _SWEEP_KEYS; delta and theta default to 0 here but to pi/6 in a sweep
+_POINT_SETTINGS = {
+    "phi": (math.pi / 6, "selection polar angle in [0, pi]"),
+    "delta": (0.0, "selection relative phase"),
+    "r": (2.0, "pointer coherent amplitude magnitude"),
+    "theta": (0.0, "pointer coherent amplitude phase"),
+    "sigma": (1.0, "pointer position scale"),
+    "strength": (1.0, "dimensionless interaction strength"),
+    "trials": (1, None),
+}
+
+
+def _add_point_args(parser: argparse.ArgumentParser, trials: bool = False) -> None:
+    for key, (default, help_text) in _POINT_SETTINGS.items():
+        if trials or key != "trials":
+            parser.add_argument("--" + key, type=_SWEEP_KEYS[key], default=default, help=help_text)
 
 
 def _changed(spec: sweep_mod.SweepSpec, changes: dict) -> sweep_mod.SweepSpec:
@@ -191,13 +196,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_transition)
 
     p = sub.add_parser("snr", help="conditioned vs unconditioned SNR ratio")
-    _add_point_args(p)
-    p.add_argument("--trials", type=int, default=1)
+    _add_point_args(p, trials=True)
     p.set_defaults(handler=_cmd_snr)
 
     p = sub.add_parser("qfi", help="Fisher information in the coupling strength")
-    _add_point_args(p)
-    p.add_argument("--trials", type=int, default=1)
+    _add_point_args(p, trials=True)
     p.set_defaults(handler=_cmd_qfi)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV (and optional SVG)")

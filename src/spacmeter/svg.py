@@ -23,7 +23,7 @@ def escape(text: str) -> str:  # xml.sax.saxutils.escape, whose import loads url
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _span(values: list[float]) -> tuple[float, float]:
+def _span(values: tuple[float, ...]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if not math.isfinite(lo) or not math.isfinite(hi):
         return -1.0, 1.0
@@ -33,6 +33,13 @@ def _span(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
+def _text(x, y, size: int, body: str, anchor: str | None = "middle", extra: str = "") -> str:
+    """One <text> element with its body escaped; anchor None writes no text-anchor, extra follows the font size."""
+    anchor_attr = f'text-anchor="{anchor}" ' if anchor else ""
+    return (f'<text x="{x}" y="{y}" {anchor_attr}font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{escape(body)}</text>')
+
+
 def render_curves(
     curves: list[tuple[str, list[float], list[float]]],
     title: str,
@@ -40,30 +47,20 @@ def render_curves(
     y_label: str,
 ) -> str:
     """Render (label, xs, ys) curves to an SVG document string."""
-    finite_x = [
-        x for _, xs, ys in curves for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    finite_y = [
-        y for _, xs, ys in curves for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
+    finite = [(x, y) for _, xs, ys in curves for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        _text(WIDTH / 2, 24, 15, title),
     ]
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    if not finite_x:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="{HEIGHT / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">no finite data</text></svg>'
-        )
+    if not finite:
+        parts.append(_text(WIDTH / 2, HEIGHT / 2, 13, "no finite data") + "</svg>")
         return "\n".join(parts)
 
+    finite_x, finite_y = zip(*finite)
     x_lo, x_hi = _span(finite_x)
     y_lo, y_hi = _span(finite_y)
 
@@ -72,36 +69,18 @@ def render_curves(
         py = MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
         return px, py
 
-    # frame and axis extent labels
-    parts.append(
+    # frame, axis extent labels and axis labels
+    y_mid = MARGIN_TOP + plot_h / 2
+    parts += [
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#444" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 28}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{x_lo:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w}" y="{HEIGHT - 28}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{x_hi:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + plot_h}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{y_lo:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + 10}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{y_hi:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{MARGIN_TOP + plot_h / 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2})">{escape(y_label)}</text>'
-    )
+        f'fill="none" stroke="#444" stroke-width="1"/>',
+        _text(MARGIN_LEFT, HEIGHT - 28, 11, f"{x_lo:.4g}"),
+        _text(MARGIN_LEFT + plot_w, HEIGHT - 28, 11, f"{x_hi:.4g}"),
+        _text(MARGIN_LEFT - 6, MARGIN_TOP + plot_h, 11, f"{y_lo:.4g}", "end"),
+        _text(MARGIN_LEFT - 6, MARGIN_TOP + 10, 11, f"{y_hi:.4g}", "end"),
+        _text(MARGIN_LEFT + plot_w / 2, HEIGHT - 10, 12, x_label),
+        _text(16, y_mid, 12, y_label, extra=f' transform="rotate(-90 16 {y_mid})"'),
+    ]
 
     for idx, (label, xs, ys) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
@@ -123,14 +102,10 @@ def render_curves(
                 parts.append(f'<circle cx="{px}" cy="{py}" r="2" fill="{color}"/>')
         ly = MARGIN_TOP + 14 + 16 * idx
         lx = MARGIN_LEFT + plot_w - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
-        )
+        parts += [
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>',
+            _text(lx + 30, ly, 11, label, None),
+        ]
     parts.append("</svg>")
     return "\n".join(parts)
 

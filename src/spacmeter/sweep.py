@@ -42,20 +42,11 @@ _OUTPUT_COLUMNS = {
     "crb": ("crb[1]",),
 }
 
-_BASE_COLUMNS = (
-    "index",
-    "phi[rad]",
-    "delta[rad]",
-    "r[1]",
-    "theta[rad]",
-    "sigma[length]",
-    "strength[1]",
-)
+# a point's parameters, in column order, each with its column
+_PARAM_COLUMNS = {"phi": "phi[rad]", "delta": "delta[rad]", "r": "r[1]", "theta": "theta[rad]",
+                  "sigma": "sigma[length]", "strength": "strength[1]"}
 
 _TAIL_COLUMNS = ("n_max[1]", "tail_mass[1]", "flag")
-
-# a point's parameters, in the order of their _BASE_COLUMNS
-_PARAMS = ("phi", "delta", "r", "theta", "sigma", "strength")
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class SweepSpec:
         return values
 
     def header(self) -> list[str]:
-        cols = list(_BASE_COLUMNS)
+        cols = ["index", *_PARAM_COLUMNS.values()]
         for name in self.outputs:
             cols.extend(_OUTPUT_COLUMNS[name])
         cols.extend(_TAIL_COLUMNS)
@@ -130,7 +121,7 @@ def _cells(row: dict[str, str], spec: SweepSpec, name: str, *values) -> None:
 
 def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str, str]:
     row = {"index": str(index), "flag": ""}
-    row.update((col, _fmt(params[name])) for col, name in zip(_BASE_COLUMNS[1:], _PARAMS))
+    row.update((col, _fmt(params[name])) for name, col in _PARAM_COLUMNS.items())
     try:
         sel = SelectionParams(phi=params["phi"], delta=params["delta"])
         pointer, coupling = _point(params["r"], params["theta"], params["sigma"], params["strength"])
@@ -165,7 +156,7 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
     """Evaluate the grid; returns (header, rows) with rows in grid order."""
     jobs: list[dict[str, float]] = []
-    fixed = {name: getattr(spec, name) for name in _PARAMS}
+    fixed = {name: getattr(spec, name) for name in _PARAM_COLUMNS}
     families = list(spec.family_values) if spec.family else [None]
     for fam_val in families:
         for axis_val in spec.axis_values():
@@ -206,7 +197,7 @@ def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:
 def write_plot(path: str, spec: SweepSpec, header: list[str], rows: list[dict[str, str]]) -> None:
     """Plot the first requested output against the axis, one curve per family."""
     y_col = _OUTPUT_COLUMNS[spec.outputs[0]][0]
-    axis_col = f"{spec.axis}[rad]" if spec.axis == "phi" else f"{spec.axis}[1]"
+    axis_col = _PARAM_COLUMNS[spec.axis]
     count = spec.count
     curves = []
     families = list(spec.family_values) if spec.family else [None]

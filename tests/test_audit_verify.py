@@ -74,7 +74,6 @@ class TestAuditRun:
             oracle=1.0,
         )
         assert rec.discrepancy == 1.0
-        assert rec.engine_gap == 0.5
 
     def test_default_table_contents(self):
         records = audit.run_audit()
@@ -82,7 +81,7 @@ class TestAuditRun:
         quantities = {rec.quantity for rec in records}
         assert quantities == {"position_shift", "momentum_shift", "inverse_norm_sq"}
         # both engines agree everywhere, whatever the transcription does
-        assert max(rec.engine_gap for rec in records) <= 1e-8
+        assert max(abs(rec.first_principles - rec.oracle) for rec in records) <= 1e-8
 
     def test_inert_strength_row_has_no_position_discrepancy(self):
         records = audit.run_audit()

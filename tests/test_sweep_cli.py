@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -305,6 +306,40 @@ class TestCsvAndPlot:
         assert ">a &amp; b &lt; c &gt; d \"e\" 'f'</text>" in text
         ET.fromstring(text)
 
+    def test_markup_is_pinned(self):
+        # a NaN gap ends a polyline, a lone finite point is a circle, the y
+        # ticks are end-anchored, the y label is rotated and the legend text
+        # has no text-anchor
+        curves = [("gap", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, math.nan, 4.0]), ("lone", [1.5, 2.5], [math.nan, 3.0])]
+        assert svg.render_curves(curves, "chi & qfi", "r", "chi[1]") == "\n".join([
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480" viewBox="0 0 720 480">',
+            '<rect width="720" height="480" fill="white"/>',
+            '<text x="360.0" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">chi &amp; qfi</text>',
+            '<rect x="70" y="42" width="634" height="388" fill="none" stroke="#444" stroke-width="1"/>',
+            '<text x="70" y="452" text-anchor="middle" font-family="sans-serif" font-size="11">0</text>',
+            '<text x="704" y="452" text-anchor="middle" font-family="sans-serif" font-size="11">3</text>',
+            '<text x="64" y="430" text-anchor="end" font-family="sans-serif" font-size="11">1</text>',
+            '<text x="64" y="52" text-anchor="end" font-family="sans-serif" font-size="11">4</text>',
+            '<text x="387.0" y="470" text-anchor="middle" font-family="sans-serif" font-size="12">r</text>',
+            '<text x="16" y="236.0" text-anchor="middle" font-family="sans-serif" font-size="12" '
+            'transform="rotate(-90 16 236.0)">chi[1]</text>',
+            '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="70.00,430.00 281.33,300.67"/>',
+            '<circle cx="704.00" cy="42.00" r="2" fill="#1f77b4"/>',
+            '<line x1="554" y1="52" x2="578" y2="52" stroke="#1f77b4" stroke-width="2"/>',
+            '<text x="584" y="56" font-family="sans-serif" font-size="11">gap</text>',
+            '<circle cx="598.33" cy="171.33" r="2" fill="#d62728"/>',
+            '<line x1="554" y1="68" x2="578" y2="68" stroke="#d62728" stroke-width="2"/>',
+            '<text x="584" y="72" font-family="sans-serif" font-size="11">lone</text>',
+            '</svg>',
+        ])
+        assert svg.render_curves([], "a & b", "x", "y") == "\n".join([
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480" viewBox="0 0 720 480">',
+            '<rect width="720" height="480" fill="white"/>',
+            '<text x="360.0" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">a &amp; b</text>',
+            '<text x="360.0" y="240.0" text-anchor="middle" font-family="sans-serif" font-size="13">'
+            'no finite data</text></svg>',
+        ])
+
     def test_import_loads_no_xml_or_network_modules(self):
         # in a fresh interpreter, importing the package adds no xml, urllib,
         # http, email or ssl module (site may load urllib.parse, through
@@ -587,3 +622,53 @@ class TestSweepSettings:
             cli.main(["sweep", "--family-values", "1,x"])
         assert exc.value.code == 2
         assert "invalid parse_numbers value: '1,x'" in capsys.readouterr().err
+
+
+class TestPointSettings:
+    # the point commands' documented defaults: phi = pi/6, delta = 0, r = 2,
+    # theta = 0, sigma = 1, strength = 1 and one trial
+    DEFAULTS = {"phi": math.pi / 6, "delta": 0.0, "r": 2.0, "theta": 0.0, "sigma": 1.0, "strength": 1.0, "trials": 1}
+
+    @staticmethod
+    def _point(monkeypatch, argv):
+        """The point and trial count that a point command hands the package, captured by monkeypatch."""
+        seen = []
+        report = types.SimpleNamespace(ratio=1.0, postselected=1.0, nonpostselected=1.0, success_probability=1.0,
+                                       trials=1, fisher=1.0, weighted_fisher=1.0, cramer_rao=1.0)
+
+        def record(sel, pointer, coupling, trials=None):
+            seen.append({"phi": sel.phi, "delta": sel.delta, "r": pointer.r, "theta": pointer.theta,
+                         "sigma": pointer.sigma, "strength": coupling.strength, "trials": trials})
+            return report
+
+        def reading(*point):
+            record(*point)
+            return types.SimpleNamespace(transition=types.SimpleNamespace(closed=0j, oracle=0j))
+
+        monkeypatch.setattr(metrology, "snr", record)
+        monkeypatch.setattr(metrology, "qfi", record)
+        monkeypatch.setattr(metrology, "Reading", reading)
+        assert cli.main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("command", ["snr", "qfi", "transition"])
+    def test_bare_command_reads_the_default_point(self, monkeypatch, command):
+        point = self._point(monkeypatch, [command])
+        assert point == {**self.DEFAULTS, "trials": None if command == "transition" else 1}
+
+    @pytest.mark.parametrize("command", ["snr", "qfi"])
+    def test_flags_parse_as_the_sweep_flags_do(self, monkeypatch, tmp_path, command):
+        flags = ["--phi", "pi/5", "--delta", "5pi/12", "--r", "3", "--theta", "pi/2",
+                 "--sigma", "0.5", "--strength", "0.3", "--trials", "7"]
+        point = self._point(monkeypatch, [command, *flags])
+        spec = TestSweepSettings._spec(monkeypatch, tmp_path, flags)
+        assert point == {name: getattr(spec, name) for name in self.DEFAULTS}
+        assert point["delta"] == 5 * math.pi / 12 and point["trials"] == 7
+
+    @pytest.mark.parametrize("argv", [["snr", "--trials", "1.5"], ["qfi", "--trials", "1.5"],
+                                      ["snr", "--theta", "pi/0"], ["qfi", "--theta", "pi/0"],
+                                      ["transition", "--theta", "pi/0"], ["transition", "--trials", "2"]])
+    def test_malformed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
