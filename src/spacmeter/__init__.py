@@ -14,7 +14,7 @@ from .analytic import (
     transition_value,
     weak_limit_shifts,
 )
-from .audit import AuditPoint, AuditRecord, run_audit
+from .audit import AuditRecord, run_audit
 from .fock import (
     AssembledState,
     FockOperator,
@@ -39,6 +39,7 @@ from .metrology import (
 from .model import (
     Coupling,
     OrthogonalSelection,
+    Point,
     PointerMoments,
     PointerParams,
     SelectionParams,
@@ -53,7 +54,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AssembledState",
-    "AuditPoint",
     "AuditRecord",
     "Coupling",
     "DegenerateReference",
@@ -63,6 +63,7 @@ __all__ = [
     "FockVector",
     "OrthogonalSelection",
     "PRESETS",
+    "Point",
     "PointerMoments",
     "PointerParams",
     "SelectionParams",

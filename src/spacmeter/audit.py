@@ -17,28 +17,12 @@ import math
 from dataclasses import dataclass
 
 from . import analytic, metrology
-from .model import Coupling, PointerParams, SelectionParams, weak_value
-
-
-@dataclass(frozen=True)
-class AuditPoint:
-    phi: float
-    delta: float
-    r: float
-    theta: float
-    sigma: float
-    strength: float
-
-    def label(self) -> str:
-        return (
-            f"phi={self.phi:.6g} delta={self.delta:.6g} r={self.r:.6g} "
-            f"theta={self.theta:.6g} sigma={self.sigma:.6g} strength={self.strength:.6g}"
-        )
+from .model import Coupling, Point, PointerParams, SelectionParams, weak_value
 
 
 @dataclass(frozen=True)
 class AuditRecord:
-    point: AuditPoint
+    point: Point
     quantity: str
     transcribed: float
     first_principles: float
@@ -140,12 +124,12 @@ def transcribed_shifts(
 # the pointer position mean vanishes and even the transcribed position shift
 # is exactly zero; at generic theta the transcribed form is already offset at
 # zero strength by its normalization defect.
-DEFAULT_POINTS: tuple[AuditPoint, ...] = (
-    AuditPoint(math.pi / 12, 5 * math.pi / 12, 5.0, math.pi / 2, 1.0, 0.0),
-    AuditPoint(math.pi / 12, 5 * math.pi / 12, 5.0, math.pi / 2, 1.0, 0.3),
-    AuditPoint(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 0.9),
-    AuditPoint(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 2.0),
-    AuditPoint(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 8.0),
+DEFAULT_POINTS: tuple[Point, ...] = (
+    Point(math.pi / 12, 5 * math.pi / 12, 5.0, math.pi / 2, 1.0, 0.0),
+    Point(math.pi / 12, 5 * math.pi / 12, 5.0, math.pi / 2, 1.0, 0.3),
+    Point(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 0.9),
+    Point(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 2.0),
+    Point(math.pi / 3, math.pi / 6, 2.0, math.pi / 6, 1.0, 8.0),
 )
 
 
@@ -153,10 +137,7 @@ def run_audit() -> list[AuditRecord]:
     """Evaluate transcribed, first-principles, and oracle values per default point."""
     records: list[AuditRecord] = []
     for pt in DEFAULT_POINTS:
-        sel = SelectionParams(phi=pt.phi, delta=pt.delta)
-        pointer = PointerParams(r=pt.r, theta=pt.theta, sigma=pt.sigma)
-        coupling = Coupling(strength=pt.strength)
-
+        sel, pointer, coupling = pt.split()
         t_dx, t_dp = transcribed_shifts(sel, pointer, coupling)
         reading = metrology.Reading(sel, pointer, coupling)
         for quantity, transcribed, pair in (

@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import audit, metrology
 from . import sweep as sweep_mod
 from . import verify as verify_mod
-from .model import Coupling, PointerParams, SelectionParams
+from .model import Point
 
 _PI_FORM = re.compile(r"^\s*([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?\s*$", re.IGNORECASE)
 
@@ -46,12 +46,8 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _point(args) -> tuple[SelectionParams, PointerParams, Coupling]:
-    return (
-        SelectionParams(phi=args.phi, delta=args.delta),
-        PointerParams(r=args.r, theta=args.theta, sigma=args.sigma),
-        Coupling(strength=args.strength),
-    )
+def _point(args):
+    return Point(*(getattr(args, name) for name in Point._fields)).split()
 
 
 def _cmd_transition(args) -> int:
@@ -163,7 +159,7 @@ def _cmd_sweep(args) -> int:
     sweep_mod.write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.svg:
-        sweep_mod.write_plot(args.svg, spec, header, rows)
+        sweep_mod.write_plot(args.svg, spec, rows)
         print(f"wrote plot to {args.svg}")
     flagged = sum(1 for row in rows if row["flag"])
     if flagged:

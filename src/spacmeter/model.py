@@ -20,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,6 +157,34 @@ class Coupling:
     def coupling_constant(self, pointer: PointerParams) -> float:
         """Dimensionful interaction constant g for the given pointer width."""
         return self.strength * pointer.sigma
+
+
+# one memo per part of a point, keyed on that part's own numbers, so equal
+# parts of any two points are one object and the caches match them by identity
+_selection = lru_cache(maxsize=1024)(SelectionParams)
+_pointer = lru_cache(maxsize=1024)(PointerParams)
+_coupling = lru_cache(maxsize=1024)(Coupling)
+
+
+class Point(NamedTuple):
+    """One parameter point: the six numbers its selection, pointer and coupling are built from."""
+
+    phi: float
+    delta: float
+    r: float
+    theta: float
+    sigma: float
+    strength: float
+
+    def label(self) -> str:
+        return (
+            f"phi={self.phi:.6g} delta={self.delta:.6g} r={self.r:.6g} "
+            f"theta={self.theta:.6g} sigma={self.sigma:.6g} strength={self.strength:.6g}"
+        )
+
+    def split(self) -> tuple[SelectionParams, PointerParams, Coupling]:
+        """The point's selection, pointer and coupling; an invalid part raises as its constructor does."""
+        return _selection(self.phi, self.delta), _pointer(self.r, self.theta, self.sigma), _coupling(self.strength)
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,25 @@
 A sweep varies one axis parameter over a linear range, optionally crossed
 with a family of values for a second parameter (one curve per family value).
 Each grid point becomes one CSV row: its requested outputs, its truncation
-certificate (cutoff and tail mass) and an error flag.  Every number in a row
-is a read of the point's metrology.Reading: the shift and transition cells
-both engines' values and their residual, chi, qfi and crb the record's snr
-and qfi, so the point's cutoff ladder and each closed form run once.  Rows
-are emitted in grid order but evaluated in the order fock.warmed yields
-them, one (pointer, strength) key per row, so rows that share a rung run
-back to back, not a family apart, bit for bit what single calls compute.
-Floats are written via repr, so identical configs give byte-identical files.
+certificate (cutoff and tail mass) and an error flag.  A row's point is a
+model.Point, so rows share each distinct selection, pointer and coupling.
+Every number in a row is a read of the point's metrology.Reading: the shift
+and transition cells both engines' values and their residual, chi, qfi and
+crb the record's snr and qfi, so the point's cutoff ladder and each closed
+form run once.  Rows are emitted in grid order but evaluated in the order
+fock.warmed yields them, one (pointer, strength) key per row, so rows that
+share a rung run back to back, not a family apart, bit for bit what single
+calls compute.  Floats are written via repr, so identical configs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import fock, metrology, svg
-from .model import ANGLE_SLACK, Coupling, PointerParams, SelectionParams
+from .model import ANGLE_SLACK, Point
 
 AXES = ("phi", "strength", "r")
 FAMILY_PARAMS = ("phi", "delta", "r", "theta", "strength")
@@ -42,9 +43,8 @@ _OUTPUT_COLUMNS = {
     "crb": ("crb[1]",),
 }
 
-# a point's parameters, in column order, each with its column
-_PARAM_COLUMNS = {"phi": "phi[rad]", "delta": "delta[rad]", "r": "r[1]", "theta": "theta[rad]",
-                  "sigma": "sigma[length]", "strength": "strength[1]"}
+# a point's parameters, in Point's field order, each with its column
+_PARAM_COLUMNS = dict(zip(Point._fields, ("phi[rad]", "delta[rad]", "r[1]", "theta[rad]", "sigma[length]", "strength[1]")))
 
 _TAIL_COLUMNS = ("n_max[1]", "tail_mass[1]", "flag")
 
@@ -119,12 +119,11 @@ def _cells(row: dict[str, str], spec: SweepSpec, name: str, *values) -> None:
         row.update((col, _fmt(value)) for col, value in zip(_OUTPUT_COLUMNS[name], values) if value is not None)
 
 
-def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str, str]:
+def _evaluate(spec: SweepSpec, index: int, point: Point) -> dict[str, str]:
     row = {"index": str(index), "flag": ""}
-    row.update((col, _fmt(params[name])) for name, col in _PARAM_COLUMNS.items())
+    row.update(zip(_PARAM_COLUMNS.values(), map(_fmt, point)))
     try:
-        sel = SelectionParams(phi=params["phi"], delta=params["delta"])
-        pointer, coupling = _point(params["r"], params["theta"], params["sigma"], params["strength"])
+        sel, pointer, coupling = point.split()
         reading = metrology.Reading(sel, pointer, coupling)
         row["n_max[1]"] = str(reading.bundle.n_max)
         row["tail_mass[1]"] = _fmt(reading.bundle.tail_mass)
@@ -155,32 +154,22 @@ def _evaluate(spec: SweepSpec, index: int, params: dict[str, float]) -> dict[str
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[dict[str, str]]]:
     """Evaluate the grid; returns (header, rows) with rows in grid order."""
-    jobs: list[dict[str, float]] = []
-    fixed = {name: getattr(spec, name) for name in _PARAM_COLUMNS}
+    jobs: list[Point] = []
+    fixed = Point(*(getattr(spec, name) for name in Point._fields))
     families = list(spec.family_values) if spec.family else [None]
     for fam_val in families:
-        for axis_val in spec.axis_values():
-            point = dict(fixed)
-            if fam_val is not None:
-                point[spec.family] = fam_val
-            point[spec.axis] = axis_val
-            jobs.append(point)
+        family = fixed if fam_val is None else fixed._replace(**{spec.family: fam_val})
+        jobs.extend(family._replace(**{spec.axis: axis_val}) for axis_val in spec.axis_values())
     rows: list[dict[str, str]] = [{}] * len(jobs)
     for i in fock.warmed(map(_rung_key, jobs)):
         rows[i] = _evaluate(spec, i, jobs[i])
     return spec.header(), rows
 
 
-@lru_cache(maxsize=1024)
-def _point(r: float, theta: float, sigma: float, strength: float) -> tuple[PointerParams, Coupling]:
-    """A row's pointer and coupling, memoized: rows that share a pointer share one object, matched by identity."""
-    return PointerParams(r=r, theta=theta, sigma=sigma), Coupling(strength=strength)
-
-
-def _rung_key(params: dict[str, float]):
+def _rung_key(point: Point):
     """The (pointer, strength) key fock caches a row's rung under, or None for an invalid point."""
     try:
-        pointer, coupling = _point(params["r"], params["theta"], params["sigma"], params["strength"])
+        _, pointer, coupling = point.split()
     except ValueError:
         return None
     return pointer, coupling.strength
@@ -194,7 +183,7 @@ def write_csv(path: str, header: list[str], rows: list[dict[str, str]]) -> None:
             handle.write(",".join(row.get(col, "") for col in header) + "\n")
 
 
-def write_plot(path: str, spec: SweepSpec, header: list[str], rows: list[dict[str, str]]) -> None:
+def write_plot(path: str, spec: SweepSpec, rows: list[dict[str, str]]) -> None:
     """Plot the first requested output against the axis, one curve per family."""
     y_col = _OUTPUT_COLUMNS[spec.outputs[0]][0]
     axis_col = _PARAM_COLUMNS[spec.axis]

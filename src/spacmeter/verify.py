@@ -25,6 +25,7 @@ import numpy as np
 from . import analytic, audit, fock, metrology
 from .model import (
     Coupling,
+    Point,
     PointerParams,
     SelectionParams,
     strong_conditional_value,
@@ -76,7 +77,10 @@ def _ratio(diff: float, budget: float) -> float:
 
 
 def _grid(strengths, phis, deltas, radii) -> list[tuple[SelectionParams, PointerParams, Coupling]]:
-    """Every (strength, phi, delta, r) point, each distinct parameter built once, so caches match by identity."""
+    """Every (strength, phi, delta, r) point, each distinct part built once, so caches match by identity.
+
+    The one split outside Point.split: the product already builds each part
+    once, and splitting the full grid's 3,720 points would take over ten times as long."""
     couplings = [Coupling(strength=strength) for strength in strengths]
     sels = [SelectionParams(phi=float(phi), delta=delta) for phi in phis for delta in deltas]
     pointers = [PointerParams(r=r, theta=math.pi / 6) for r in radii]
@@ -103,9 +107,7 @@ def fast_grid() -> list[tuple[SelectionParams, PointerParams, Coupling]]:
 
 
 def _label(sel: SelectionParams, pointer: PointerParams, coupling: Coupling) -> str:
-    return audit.AuditPoint(
-        sel.phi, sel.delta, pointer.r, pointer.theta, pointer.sigma, coupling.strength
-    ).label()
+    return Point(sel.phi, sel.delta, pointer.r, pointer.theta, pointer.sigma, coupling.strength).label()
 
 
 def _worst_of(rows, label: str = "{}", where=str) -> list[CheckResult]:
@@ -134,36 +136,34 @@ def _cross_engine_checks(points) -> list[CheckResult]:
 
 
 def _limit_checks() -> list[CheckResult]:
-    weak_coupling = Coupling(strength=1e-4)
-    strong_coupling = Coupling(strength=20.0)
     rows = []
-    for phi in (math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2):
-        for delta in (0.0, math.pi / 6, math.pi / 2):
-            sel = SelectionParams(phi=phi, delta=delta)
-            target = strong_conditional_value(sel)
-            for r in (0.0, 2.0):
-                pointer = PointerParams(r=r, theta=math.pi / 6)
-                t_weak = analytic.transition_value(sel, pointer, weak_coupling)
-                shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
-                g = strong_coupling.coupling_constant(pointer)
-                rows.append((_label(sel, pointer, weak_coupling), {
-                    "weak limit: transition -> weak value":
-                        _ratio(abs(t_weak - weak_value(sel)), 1e-3),
-                }))
-                rows.append((_label(sel, pointer, strong_coupling), {
-                    "strong limit: transition -> sin(phi)cos(delta)":
-                        _ratio(abs(shifts.transition - target), 1e-8),
-                    "strong limit: position shift -> g sin(phi)cos(delta)":
-                        _ratio(abs(shifts.position_shift - g * target), 1e-6 * g),
-                    "strong limit: momentum shift -> 0": _ratio(abs(shifts.momentum_shift), 1e-6),
-                }))
+    phis, deltas = (math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2), (0.0, math.pi / 6, math.pi / 2)
+    for phi, delta, r in itertools.product(phis, deltas, (0.0, 2.0)):
+        weak = Point(phi, delta, r, math.pi / 6, 1.0, 1e-4)
+        strong = weak._replace(strength=20.0)
+        (sel, pointer, weak_coupling), (_, _, strong_coupling) = weak.split(), strong.split()
+        target = strong_conditional_value(sel)
+        t_weak = analytic.transition_value(sel, pointer, weak_coupling)
+        shifts = analytic.pointer_shifts(sel, pointer, strong_coupling)
+        g = strong_coupling.coupling_constant(pointer)
+        rows.append((weak.label(), {
+            "weak limit: transition -> weak value": _ratio(abs(t_weak - weak_value(sel)), 1e-3),
+        }))
+        rows.append((strong.label(), {
+            "strong limit: transition -> sin(phi)cos(delta)": _ratio(abs(shifts.transition - target), 1e-8),
+            "strong limit: position shift -> g sin(phi)cos(delta)":
+                _ratio(abs(shifts.position_shift - g * target), 1e-6 * g),
+            "strong limit: momentum shift -> 0": _ratio(abs(shifts.momentum_shift), 1e-6),
+        }))
     return _worst_of(rows)
 
 
+# the point of the truncation checks and, at FAST_STRENGTHS, of the estimator check
+_FIXED = Point(math.pi / 6, math.pi / 6, 2.0, math.pi / 6, 1.0, 1.0)
+
+
 def _truncation_checks() -> list[CheckResult]:
-    sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
-    pointer = PointerParams(r=2.0, theta=math.pi / 6)
-    coupling = Coupling(strength=1.0)
+    sel, pointer, coupling = _FIXED.split()
     bundle = fock.branch_bundle(sel, pointer, coupling)
     dx, _ = bundle.kept_shift
     doubled_pol = fock.TruncationPolicy(initial_dim=2 * bundle.n_max)
@@ -179,7 +179,7 @@ def _truncation_checks() -> list[CheckResult]:
     kept = bundle.kept.state.amplitudes
     norm_err = max(abs(float(np.vdot(v, v).real) - 1.0) for v in (bundle.psi, kept))
     resid = max(fock.commutator_residual(v) for v in (bundle.psi, kept))
-    return _worst_of([(_label(sel, pointer, coupling), {
+    return _worst_of([(_FIXED.label(), {
         "cutoff doubling leaves shift fixed": _ratio(abs(dx - dx2), 1e-10 * max(1.0, abs(dx))),
         "cutoff doubling leaves D(+-g/2) psi fixed": _ratio(moved, math.sqrt(fock.TAIL_TOL)),
         "displacement unitary on safe block": _ratio(op.unitarity_defect(), 1e-10),
@@ -194,11 +194,10 @@ def _estimator_check() -> list[CheckResult]:
     8 (1 - |<B(g)|B(g + eps)>|) / eps^2 uses no derivative identity; the
     Richardson combination of eps and eps / 2 cancels its linear-in-eps bias.
     """
-    sel = SelectionParams(phi=math.pi / 6, delta=math.pi / 6)
-    pointer = PointerParams(r=2.0, theta=math.pi / 6)
     step, rows = 1e-4, []
     for strength in FAST_STRENGTHS[1:]:
-        coupling = Coupling(strength=strength)
+        point = _FIXED._replace(strength=strength)
+        sel, pointer, coupling = point.split()
         bundle = fock.branch_bundle(sel, pointer, coupling)
         center, fidelity = bundle.kept.state.amplitudes, []
         for eps in (step, step / 2.0):
@@ -206,7 +205,7 @@ def _estimator_check() -> list[CheckResult]:
             fidelity.append(metrology.fisher_from_states(center, near, eps))
         exact = bundle.fisher()
         gap = abs(2.0 * fidelity[1] - fidelity[0] - exact)
-        rows.append((_label(sel, pointer, coupling), {
+        rows.append((point.label(), {
             "fisher fidelity estimator vs exact derivative": _ratio(gap, ESTIMATOR_AGREEMENT * exact),
         }))
     return _worst_of(rows)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacmeter import analytic, audit, verify
-from spacmeter.model import Coupling, PointerParams, SelectionParams
+from spacmeter.model import Coupling, Point, PointerParams, SelectionParams
 
 P1_SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
 P1_PTR = PointerParams(r=2.0, theta=math.pi / 6)
@@ -65,7 +65,7 @@ class TestTranscribedKernel:
 
 class TestAuditRun:
     def test_record_arithmetic(self):
-        point = audit.AuditPoint(0.1, 0.2, 1.0, 0.3, 1.0, 0.5)
+        point = Point(0.1, 0.2, 1.0, 0.3, 1.0, 0.5)
         rec = audit.AuditRecord(
             point=point,
             quantity="position_shift",

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from spacmeter import analytic, fock, metrology, sweep, verify
-from spacmeter.model import Coupling, PointerParams, SelectionParams
+from spacmeter import analytic, fock, metrology, model, sweep, verify
+from spacmeter.model import Coupling, Point, PointerParams, SelectionParams
 
 SEL = SelectionParams(phi=math.pi / 3, delta=math.pi / 6)
 PTR = PointerParams(r=2.0, theta=math.pi / 6)
@@ -79,15 +79,8 @@ def test_sweep_row_runs_one_ladder(ladders, closed_forms, outputs):
     # a row's shift cells and chi read one closed-form evaluation, its qfi
     # and crb one closed-form Fisher information
     spec = sweep.SweepSpec(axis="strength", start=0.5, stop=1.0, count=2, outputs=outputs)
-    params = {
-        "phi": SEL.phi,
-        "delta": SEL.delta,
-        "r": PTR.r,
-        "theta": PTR.theta,
-        "sigma": PTR.sigma,
-        "strength": CPL.strength,
-    }
-    row = sweep._evaluate(spec, 0, params)
+    point = Point(SEL.phi, SEL.delta, PTR.r, PTR.theta, PTR.sigma, CPL.strength)
+    row = sweep._evaluate(spec, 0, point)
     assert row["flag"] == ""
     assert all(row[col] for col in spec.header() if col != "flag")
     assert len(ladders) == 1
@@ -115,18 +108,39 @@ def test_verify_grid_point_evaluates_one_weak_value_and_one_branch_sum(monkeypat
     assert analytic._branch_sum.cache_info().misses == 1
 
 
+# the sweep columns each part of a point is built from
+PART_COLUMNS = {SelectionParams: ("phi[rad]", "delta[rad]"), PointerParams: ("r[1]", "theta[rad]", "sigma[length]"),
+                Coupling: ("strength[1]",)}
+
+
 def test_verify_grid_and_sweep_compare_no_pointers(monkeypatch):
-    # the grid builds each distinct pointer once, and a sweep row reads the
-    # pointer its rung key holds, so the rung cache and the kernel cache
-    # match a point's pointer by identity, never by __eq__
+    # the grid builds each distinct part once, and every sweep row splits its
+    # point through Point.split's memos, one object per distinct part on
+    # every axis, so the rung cache and the kernel cache match a point's
+    # pointer by identity, never by __eq__
     analytic.real_axis_kernel.cache_clear()  # the rung cache starts empty in every test
     compared, equal = [], PointerParams.__eq__
     monkeypatch.setattr(PointerParams, "__eq__", lambda self, other: compared.append(other) or equal(self, other))
+    built = {}
+    for cls in PART_COLUMNS:
+        built[cls], post_init = [], cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, calls=built[cls], post_init=post_init:
+                            calls.append(type(self)) or post_init(self))
     checks = verify._cross_engine_checks(verify.fast_grid())
     assert all(c.passed for c in checks)
-    _, rows = sweep.run_sweep(replace(sweep.preset("fig3b"), count=5))
-    assert all(row["flag"] == "" for row in rows)
     assert compared == []
+    for name in sorted(sweep.PRESETS):
+        # each preset starts from empty caches, so none holds an equal part built apart
+        fock._RUNGS.clear()
+        for memo in (model._selection, model._pointer, model._coupling, analytic.real_axis_kernel, analytic._branch_sum):
+            memo.cache_clear()
+        for calls in built.values():
+            calls.clear()
+        _, rows = sweep.run_sweep(replace(sweep.preset(name), count=5))
+        assert all(row["flag"] == "" or row["phi[rad]"] == repr(math.pi) for row in rows), name  # fig1 ends at pi
+        assert compared == [], name
+        distinct = {cls: len({tuple(row[col] for col in cols) for row in rows}) for cls, cols in PART_COLUMNS.items()}
+        assert {cls: len(calls) for cls, calls in built.items()} == distinct, name
 
 
 def _count_calls(monkeypatch, name, module=fock):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spacmeter.model import (
     Coupling,
     OrthogonalSelection,
+    Point,
     PointerParams,
     SelectionParams,
     postselection_probability,
@@ -107,6 +108,37 @@ def test_coupling_validation_and_constant():
         Coupling(strength=math.nan)
     cpl = Coupling(strength=0.9)
     assert cpl.coupling_constant(PointerParams(r=0.0, sigma=2.0)) == pytest.approx(1.8)
+
+
+class TestPoint:
+    POINT = Point(math.pi / 5, 0.3, 1.5, 0.2, 0.7, 0.4)
+    # each part's constructor and the fields it is built from
+    PARTS = {"phi": (SelectionParams, ("phi", "delta")), "r": (PointerParams, ("r", "theta", "sigma")),
+             "sigma": (PointerParams, ("r", "theta", "sigma")), "strength": (Coupling, ("strength",))}
+
+    def test_split_of_equal_numbers_returns_the_same_objects(self):
+        parts = self.POINT.split()
+        assert parts == (SelectionParams(math.pi / 5, 0.3), PointerParams(1.5, 0.2, 0.7), Coupling(0.4))
+        again = Point(*self.POINT).split()
+        assert all(a is b for a, b in zip(parts, again))
+        # a part is shared by points that differ in the other parts
+        sel, pointer, coupling = self.POINT._replace(r=3.0, strength=0.9).split()
+        assert sel is parts[0] and pointer is not parts[1] and coupling is not parts[2]
+
+    @pytest.mark.parametrize("field, value", [("phi", 4.0), ("phi", math.nan), ("r", -1.0), ("r", math.inf),
+                                              ("sigma", 0.0), ("strength", -0.5), ("strength", math.inf)])
+    def test_invalid_part_raises_as_its_constructor_does(self, field, value):
+        point = self.POINT._replace(**{field: value})
+        cls, names = self.PARTS[field]
+        with pytest.raises(ValueError) as direct:
+            cls(*(getattr(point, name) for name in names))
+        for _ in range(2):  # a refused part is not memoized
+            with pytest.raises(ValueError) as split:
+                point.split()
+            assert type(split.value) is type(direct.value) and str(split.value) == str(direct.value)
+
+    def test_label(self):
+        assert self.POINT.label() == "phi=0.628319 delta=0.3 r=1.5 theta=0.2 sigma=0.7 strength=0.4"
 
 
 @given(phi=st.floats(min_value=1e-4, max_value=math.pi - 1e-4))

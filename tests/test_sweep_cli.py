@@ -14,7 +14,7 @@ import pytest
 
 import spacmeter
 from spacmeter import cli, fock, metrology, sweep, svg, verify
-from spacmeter.model import Coupling, PointerParams, SelectionParams
+from spacmeter.model import Coupling, Point, PointerParams, SelectionParams
 
 
 class TestParseNumber:
@@ -131,14 +131,13 @@ class TestRunSweep:
             outputs=("dx", "transition", "qfi", "crb"),
         )
         _, rows = sweep.run_sweep(spec)
-        fixed = {"phi": spec.phi, "delta": spec.delta, "r": spec.r,
-                 "theta": spec.theta, "sigma": spec.sigma}
+        fixed = Point(spec.phi, spec.delta, spec.r, spec.theta, spec.sigma, spec.strength)
         cold = []
         for phi in spec.family_values:
             for strength in spec.axis_values():
                 fock._RUNGS.clear()
-                params = dict(fixed, phi=phi, strength=strength)
-                cold.append(sweep._evaluate(spec, len(cold), params))
+                point = fixed._replace(phi=phi, strength=strength)
+                cold.append(sweep._evaluate(spec, len(cold), point))
         assert rows == cold
         assert [row["flag"] for row in rows[3:6]] == ["OrthogonalSelection"] * 3
         assert all(row["flag"] == "" for row in rows[:3] + rows[6:])
@@ -283,10 +282,15 @@ class TestCsvAndPlot:
             assert got == want
             assert float(got["dx_oracle[length]"]) == float(want["dx_oracle[length]"])
 
+    def test_param_columns_follow_point_fields(self):
+        assert tuple(sweep._PARAM_COLUMNS) == Point._fields
+        assert sweep._PARAM_COLUMNS == {"phi": "phi[rad]", "delta": "delta[rad]", "r": "r[1]", "theta": "theta[rad]",
+                                        "sigma": "sigma[length]", "strength": "strength[1]"}
+
     def test_plot_is_wellformed_svg_with_one_curve_per_family(self, tmp_path):
-        spec, header, rows = self._small()
+        spec, _, rows = self._small()
         path = tmp_path / "out.svg"
-        sweep.write_plot(str(path), spec, header, rows)
+        sweep.write_plot(str(path), spec, rows)
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
