@@ -159,8 +159,9 @@ class Coupling:
         return self.strength * pointer.sigma
 
 
-# one memo per part of a point, keyed on that part's own numbers, so equal
-# parts of any two points are one object and the caches match them by identity
+# one memo per part of a point, keyed on that part's own numbers, so parts
+# built from equal numbers are one object and the caches match them by
+# identity (0.0 and -0.0 are equal keys: whichever came first is kept)
 _selection = lru_cache(maxsize=1024)(SelectionParams)
 _pointer = lru_cache(maxsize=1024)(PointerParams)
 _coupling = lru_cache(maxsize=1024)(Coupling)

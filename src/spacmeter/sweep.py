@@ -44,7 +44,8 @@ _OUTPUT_COLUMNS = {
 }
 
 # a point's parameters, in Point's field order, each with its column
-_PARAM_COLUMNS = dict(zip(Point._fields, ("phi[rad]", "delta[rad]", "r[1]", "theta[rad]", "sigma[length]", "strength[1]")))
+_PARAM_COLUMNS = {"phi": "phi[rad]", "delta": "delta[rad]", "r": "r[1]", "theta": "theta[rad]",
+                  "sigma": "sigma[length]", "strength": "strength[1]"}
 
 _TAIL_COLUMNS = ("n_max[1]", "tail_mass[1]", "flag")
 

@@ -28,6 +28,9 @@ from .model import (
     Point,
     PointerParams,
     SelectionParams,
+    _coupling,
+    _pointer,
+    _selection,
     strong_conditional_value,
     weak_value,
 )
@@ -77,13 +80,10 @@ def _ratio(diff: float, budget: float) -> float:
 
 
 def _grid(strengths, phis, deltas, radii) -> list[tuple[SelectionParams, PointerParams, Coupling]]:
-    """Every (strength, phi, delta, r) point, each distinct part built once, so caches match by identity.
-
-    The one split outside Point.split: the product already builds each part
-    once, and splitting the full grid's 3,720 points would take over ten times as long."""
-    couplings = [Coupling(strength=strength) for strength in strengths]
-    sels = [SelectionParams(phi=float(phi), delta=delta) for phi in phis for delta in deltas]
-    pointers = [PointerParams(r=r, theta=math.pi / 6) for r in radii]
+    """Every (strength, phi, delta, r) point, its parts from Point.split's memos, so caches match by identity."""
+    couplings = [_coupling(strength) for strength in strengths]
+    sels = [_selection(float(phi), delta) for phi in phis for delta in deltas]
+    pointers = [_pointer(r, math.pi / 6, 1.0) for r in radii]
     return [(sel, pointer, coupling) for coupling, sel, pointer in itertools.product(couplings, sels, pointers)]
 
 

@@ -114,31 +114,38 @@ PART_COLUMNS = {SelectionParams: ("phi[rad]", "delta[rad]"), PointerParams: ("r[
 
 
 def test_verify_grid_and_sweep_compare_no_pointers(monkeypatch):
-    # the grid builds each distinct part once, and every sweep row splits its
-    # point through Point.split's memos, one object per distinct part on
-    # every axis, so the rung cache and the kernel cache match a point's
-    # pointer by identity, never by __eq__
-    analytic.real_axis_kernel.cache_clear()  # the rung cache starts empty in every test
+    # the grid and every sweep row take their parts from Point.split's
+    # memos, one object per distinct part on every axis and across the two,
+    # so the rung cache and the kernel cache match a point's pointer by
+    # identity, never by __eq__
+    # the rung cache starts empty in every test, the kernel caches here
+    analytic.real_axis_kernel.cache_clear()
+    analytic._branch_sum.cache_clear()
     compared, equal = [], PointerParams.__eq__
     monkeypatch.setattr(PointerParams, "__eq__", lambda self, other: compared.append(other) or equal(self, other))
+    checks = verify._cross_engine_checks(verify.fast_grid())
+    assert all(c.passed for c in checks)
+    assert compared == []
+    # fig1, fig4 and fig5 use pointers of the grid (r = 0 or 2, theta = pi/6)
+    for name in sorted(sweep.PRESETS):
+        _, rows = sweep.run_sweep(replace(sweep.preset(name), count=5))
+        assert all(row["flag"] == "" or row["phi[rad]"] == repr(math.pi) for row in rows), name  # fig1 ends at pi
+        assert compared == [], name
+
+
+def test_sweep_builds_one_object_per_distinct_part(monkeypatch):
     built = {}
     for cls in PART_COLUMNS:
         built[cls], post_init = [], cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, calls=built[cls], post_init=post_init:
                             calls.append(type(self)) or post_init(self))
-    checks = verify._cross_engine_checks(verify.fast_grid())
-    assert all(c.passed for c in checks)
-    assert compared == []
     for name in sorted(sweep.PRESETS):
-        # each preset starts from empty caches, so none holds an equal part built apart
-        fock._RUNGS.clear()
-        for memo in (model._selection, model._pointer, model._coupling, analytic.real_axis_kernel, analytic._branch_sum):
+        # each preset starts from empty memos, so every distinct part is built here
+        for memo in (model._selection, model._pointer, model._coupling):
             memo.cache_clear()
         for calls in built.values():
             calls.clear()
         _, rows = sweep.run_sweep(replace(sweep.preset(name), count=5))
-        assert all(row["flag"] == "" or row["phi[rad]"] == repr(math.pi) for row in rows), name  # fig1 ends at pi
-        assert compared == [], name
         distinct = {cls: len({tuple(row[col] for col in cols) for row in rows}) for cls, cols in PART_COLUMNS.items()}
         assert {cls: len(calls) for cls, calls in built.items()} == distinct, name
 
